@@ -19,7 +19,7 @@ from . import config as cfgmod
 from .collision import CollisionOperator, transport_coefficients
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .errors import (BranchSwap, CFLViolation, IllConditioned, Instability,
-                     MissingStudy, NoConvergence)
+                     MemoryBudget, MissingStudy, NoConvergence)
 from .green import (KineticWaves, SpaceGrid, linear_log_fit, power_law_fit,
                     weighted_field_norm)
 from .manifest import RunManifest, load_manifest, write_csv
@@ -30,7 +30,7 @@ from .spectral import eigen_branches
 from .velocity import VelocityBasis, basis_pair
 
 NUMERICAL_ERRORS = (BranchSwap, NoConvergence, Instability, CFLViolation,
-                    IllConditioned, MissingStudy)
+                    IllConditioned, MemoryBudget, MissingStudy)
 
 
 def cache_dir():

@@ -8,6 +8,7 @@ are rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -22,6 +23,16 @@ def _positive(x):
 
 def _nonnegative(x):
     return x >= 0
+
+
+def parse_times(s):
+    """Comma-separated sample times as floats; ValueError on a bad entry."""
+    return [float(t) for t in s.split(",")]
+
+
+def _times(s):
+    parse_times(s)
+    return s
 
 
 def _bool(s):
@@ -48,8 +59,9 @@ SCHEMA = {
     "r0_hat": (float, 1.0, _positive, "fluid/kinetic frequency split"),
     "t_end": (float, 20.0, _positive, "final time"),
     "dt": (float, 0.1, _positive, "time step"),
-    "times": (str, "1,2,4,8", lambda s: len(s) > 0,
-              "comma-separated sample times"),
+    "times": (_times, "1,2,4,8",
+              lambda s: all(math.isfinite(t) and t >= 0 for t in parse_times(s)),
+              "comma-separated finite sample times >= 0"),
     "levels": (int, 7, _positive, "dyadic frequency levels for the waves"),
     "delta0": (float, 1e-3, _positive, "initial-data amplitude"),
     "gamma0": (float, 1.0, lambda x: x > 0.5, "initial-data spatial decay"),
@@ -74,7 +86,7 @@ class RunConfig:
             raise AttributeError(key)
 
     def sample_times(self):
-        return [float(s) for s in self.values["times"].split(",")]
+        return parse_times(self.values["times"])
 
     def echo_lines(self):
         return [f"{k} = {self.values[k]}" for k in sorted(self.values)]

@@ -15,7 +15,7 @@ import numpy as np
 from .collision import CollisionOperator
 from .errors import CFLViolation, Instability
 from .green import SpaceGrid
-from .spectral import mode_matrix
+from .spectral import mode_matrix, propagate
 from .velocity import VelocityBasis
 
 ROOT23 = np.sqrt(2.0 / 3.0)
@@ -188,8 +188,9 @@ def kinetic_moment_trajectory(op: CollisionOperator, grid: SpaceGrid,
                               profile, ts, seed=None):
     """Exact linear kinetic moments for initial data profile(x) * seed(v).
 
-    Propagates each active frequency with one dense eigendecomposition and
-    returns MomentState snapshots (sector 0 only).
+    Propagates each active frequency with one call of propagate (exp(h B)
+    once on the lattice of the sample times, then mat-vecs) and returns
+    MomentState snapshots (sector 0 only).
     """
     b = op.basis
     seed = b.invariants[0] if seed is None else np.asarray(seed, dtype=complex)
@@ -198,11 +199,7 @@ def kinetic_moment_trajectory(op: CollisionOperator, grid: SpaceGrid,
     active = np.where(np.abs(phat) > 1e-14 * np.abs(phat).max())[0]
     coef = np.zeros((len(ts), grid.nh, b.n), dtype=complex)
     for k in active:
-        B = mode_matrix(op, grid.eta[k])
-        w, V = np.linalg.eig(B)
-        c0 = np.linalg.solve(V, seed)
-        coef[:, k, :] = np.einsum("ij,tj,j->ti", V, np.exp(np.outer(ts, w)),
-                                  c0) * phat[k]
+        coef[:, k, :] = propagate(mode_matrix(op, grid.eta[k]), seed, ts) * phat[k]
     states = []
     for it in range(len(ts)):
         f = grid.to_physical(coef[it], axis=0)

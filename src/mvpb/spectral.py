@@ -9,6 +9,8 @@ acting per azimuthal sector (the field coupling P_mass is present only in
 sector 0).  This module provides
 
 * dense assembly of B(eta);
+* the propagator exp(t B(eta)) X at a set of sample times, from one
+  matrix exponential on the lattice of those times;
 * continuation of the low-frequency eigenvalue branches (two acoustic,
   one thermal in sector 0; one doubly-degenerate shear in sector 1) with
   bilinear eta-pairing normalization;
@@ -22,6 +24,7 @@ sector 0).  This module provides
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +49,75 @@ def mode_matrix(op: CollisionOperator, eta):
         chi0 = b.invariants[0]
         B -= (1j * eta / (1.0 + eta ** 2)) * np.outer(b.v1 * chi0, chi0 * b.w)
     return B
+
+
+# ---------------------------------------------------------------------- #
+# per-frequency propagator
+# ---------------------------------------------------------------------- #
+
+LATTICE_RTOL = 1e-9
+
+
+def lattice_step(ts):
+    """Largest h such that every t in ts is an integer multiple of h.
+
+    Euclid's algorithm on floats: a remainder within LATTICE_RTOL * max(ts)
+    of zero or of the divisor counts as exact division.  Returns 0.0 when
+    all times are zero.
+    """
+    ts = np.asarray(ts, dtype=float)
+    tol = LATTICE_RTOL * float(ts.max(initial=0.0))
+    h = 0.0
+    for t in ts:
+        a, b = float(t), h
+        while b > tol:
+            r = math.fmod(a, b)
+            a, b = b, (0.0 if r <= tol or b - r <= tol else r)
+        h = a
+    return h
+
+
+def propagate(B, X, ts):
+    """exp(t B) X for every t in ts, shape (len(ts),) + X.shape.
+
+    The sample times are placed on the lattice t = k h of the largest base
+    step h that divides all of them (lattice_step); exp(h B) is formed once
+    by scaling and squaring and X is marched through the lattice with
+    mat-vecs.  When that lattice needs more than n = len(B) steps, which
+    cost about one expm, the march instead takes one expm per distinct gap
+    between the sorted times.
+    """
+    ts = np.asarray(ts, dtype=float)
+    X = np.asarray(X)
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
+        raise ValueError("sample times must be finite and non-negative")
+    out = np.empty((len(ts),) + X.shape, dtype=np.result_type(B, X))
+    out[:] = X
+    t_max = float(ts.max(initial=0.0))
+    if t_max == 0.0:
+        return out
+    h = lattice_step(ts)
+    steps = np.rint(ts / h)
+    on_lattice = np.abs(ts - steps * h).max() <= LATTICE_RTOL * t_max
+    if on_lattice and steps.max() <= len(B):
+        E = scipy.linalg.expm(B * (t_max / steps.max()))
+        done, Y = 0, X
+        for k in np.unique(steps[steps > 0]):
+            for _ in range(int(k) - done):
+                Y = E @ Y
+            done = int(k)
+            out[steps == k] = Y
+        return out
+    gaps = {}
+    t_prev, Y = 0.0, X
+    for t in np.unique(ts[ts > 0]):
+        gap = t - t_prev
+        if gap not in gaps:
+            gaps[gap] = scipy.linalg.expm(B * gap)
+        Y = gaps[gap] @ Y
+        t_prev = t
+        out[ts == t] = Y
+    return out
 
 
 # ---------------------------------------------------------------------- #

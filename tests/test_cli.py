@@ -5,8 +5,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mvpb.cli import main
+from mvpb.config import default_config
+from mvpb.errors import MemoryBudget
 
 
 @pytest.fixture(autouse=True)
@@ -43,6 +47,35 @@ def test_unknown_key_exit_2(tmp_path):
 
 def test_invalid_value_exit_2(tmp_path):
     assert main(["coeffs", "--out", str(tmp_path), "--set", "n1=-4"]) == 2
+
+
+@pytest.mark.parametrize("times", ["1,a", "-1,2", "1,,2", "nan", "1,inf"])
+def test_bad_times_exit_2(tmp_path, capsys, times):
+    out = tmp_path / "run"
+    assert main(["green", "--out", str(out), "--set", f"times={times}"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(out / "manifest.json")
+
+
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False,
+                          allow_infinity=False), min_size=1))
+def test_times_round_trip(ts):
+    cfg = default_config(times=",".join(repr(t) for t in ts))
+    assert cfg.sample_times() == ts
+
+
+def test_memory_budget_exit_3(tmp_path, monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise MemoryBudget("gamma tensor over the cap")
+
+    monkeypatch.setattr("mvpb.cli.build_gamma", over_budget)
+    out = tmp_path / "run"
+    rc = main(["nonlinear", "--out", str(out),
+               "--set", "n1=8", "--set", "nr=4", "--set", "nx=64"])
+    assert rc == 3
+    doc = _load_manifest(out)
+    assert doc["partial"]
+    assert "MemoryBudget" in doc["error"]
 
 
 def test_coeffs_study(tmp_path):

@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mvpb import green
+from mvpb import green, spectral
 from mvpb.errors import AliasingWarning
 from mvpb.green import (FluidPart, KineticWaves, SpaceGrid, green_action,
                         hump_centers, linear_log_fit, power_law_fit,
@@ -154,6 +155,23 @@ def test_aliasing_warning_silent(ops16):
                          r0_hat=1.0)
 
 
+def test_green_action_matches_eigen_synthesis(ops16):
+    # one well-conditioned mode against the spectral sum V exp(t w) V^-1 g
+    op0, _ = ops16
+    b = op0.basis
+    small = SpaceGrid(box_half_length=20.0, nx=16)
+    ts = [0.0, 1.0, 2.0, 4.0, 8.0]
+    coef = green_action(op0, small, b.invariants[0], ts)
+    k = 3
+    w, V = scipy.linalg.eig(spectral.mode_matrix(op0, small.eta[k]))
+    assert np.linalg.cond(V) < 1e3
+    c0 = np.linalg.solve(V, b.invariants[0])
+    amp = 1.0 / (2.0 * small.L)
+    for it, t in enumerate(ts):
+        ref = V @ (np.exp(w * t) * c0) * amp
+        assert np.max(np.abs(coef[0, it, k] - ref)) <= 1e-10 * np.abs(ref).max()
+
+
 def test_free_flow_closed_form(ops16, grid):
     op0, _ = ops16
     b = op0.basis
@@ -162,6 +180,16 @@ def test_free_flow_closed_form(ops16, grid):
     for it, t in enumerate(ts):
         exact = kw.free_flow_coefficients(t)
         assert np.max(np.abs(kw.top[:, it] - exact)) <= 1e-13
+
+
+def test_off_lattice_time_recorded(ops16, grid):
+    # 1.3 is off the 0.5 interval lattice and is still integrated to
+    op0, _ = ops16
+    b = op0.basis
+    kw = KineticWaves(op0, grid, b.invariants[0], [1.0, 1.3], levels=2)
+    for it, t in enumerate((1.0, 1.3)):
+        exact = kw.free_flow_coefficients(t)
+        assert np.max(np.abs(kw.wave_sum[:, it] - exact)) <= 1e-12
 
 
 def test_wave_frequency_decay(ops16, grid):

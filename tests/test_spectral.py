@@ -232,3 +232,48 @@ def test_semigroup_property(ops24):
     B = spectral.mode_matrix(op0, 0.4)
     S = {t: scipy.linalg.expm(B * t) for t in (0.7, 1.3, 2.0)}
     assert np.max(np.abs(S[2.0] - S[0.7] @ S[1.3])) <= 1e-9
+
+
+# --------------------------------------------------------------------- #
+# per-frequency propagator
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("ts, h", [
+    ([1.0, 2.0, 4.0, 8.0], 1.0),
+    ([0.0, 2.0, 5.0, 10.0], 1.0),
+    (np.linspace(5.0, 30.0, 11), 2.5),
+    ([0.0], 0.0),
+])
+def test_lattice_step(ts, h):
+    assert abs(spectral.lattice_step(ts) - h) <= 1e-12
+
+
+@pytest.mark.parametrize("ts", [
+    [1.0, 2.0, 4.0, 8.0],
+    [0.0, 2.0, 5.0, 10.0],
+    [0.3, 1.0, 2.7],
+    [2.0, 0.5, 2.0, 1.0],            # unsorted, with a duplicate
+    [0.5, 1.0, np.sqrt(2.0)],        # no lattice: one expm per gap
+])
+@pytest.mark.parametrize("eta", [0.3, 2.0])
+def test_propagate_matches_expm(ops16, rng, ts, eta):
+    B = spectral.mode_matrix(ops16[0], eta)
+    X = rng.standard_normal((B.shape[0], 2))
+    out = spectral.propagate(B, X, ts)
+    assert out.shape == (len(ts),) + X.shape
+    for t, Y in zip(ts, out):
+        ref = scipy.linalg.expm(B * t) @ X
+        assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_propagate_zero_time_is_identity(ops16, rng):
+    B = spectral.mode_matrix(ops16[0], 0.7)
+    X = rng.standard_normal(B.shape[0])
+    out = spectral.propagate(B, X, [0.0])
+    assert np.array_equal(out[0], X)
+
+
+def test_propagate_rejects_negative_time(ops16):
+    B = spectral.mode_matrix(ops16[0], 0.7)
+    with pytest.raises(ValueError):
+        spectral.propagate(B, np.ones(B.shape[0]), [1.0, -1.0])
