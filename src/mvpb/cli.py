@@ -32,6 +32,9 @@ from .velocity import VelocityBasis, basis_pair
 NUMERICAL_ERRORS = (BranchSwap, NoConvergence, Instability, CFLViolation,
                     IllConditioned, MemoryBudget, MissingStudy)
 
+#: studies that drop t = 0 and fit or march over the remaining times
+POSITIVE_TIME_STUDIES = ("waves", "nsp-compare")
+
 
 def cache_dir():
     return os.environ.get("MVPB_CACHE") or None
@@ -306,6 +309,11 @@ def main(argv=None):
         if args.seed is not None:
             overrides["seed"] = args.seed
         cfgmod.apply_overrides(cfg, overrides)
+        if (cfg.study in POSITIVE_TIME_STUDIES
+                and not any(t > 0 for t in cfg.sample_times())):
+            raise ConfigError(
+                f"{cfg.study} needs at least one positive time "
+                f"(times = {cfg.times})")
     except (ConfigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -22,18 +22,35 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
+import tempfile
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import IllConditioned, QuadratureWarning
+from .errors import IllConditioned
 from .velocity import VelocityBasis
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
 
 #: cache file magic/version
 _CACHE_MAGIC = b"MVPBKRN1"
+
+
+def write_atomic(path, write):
+    """Create path through a temp file in its directory and os.replace.
+
+    write(fh) fills the open binary file.  If it raises, the temp file is
+    removed, so path holds either its old content or a complete new file.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def collision_frequency(speed):
@@ -120,7 +137,7 @@ class CollisionOperator:
         moment balance exact.
     """
 
-    def __init__(self, basis: VelocityBasis, nphi=128, cache_dir=None, guard=False):
+    def __init__(self, basis: VelocityBasis, nphi=128, cache_dir=None):
         self.basis = basis
         self.nphi = int(nphi)
         km = None
@@ -150,19 +167,7 @@ class CollisionOperator:
         self.Lmat = WL / w[:, None]
         self._micro_solve_matrix = None
 
-        if guard:
-            self._quadrature_guard()
-
     # ------------------------------------------------------------------ #
-
-    def _quadrature_guard(self):
-        """Warn if doubling the azimuthal resolution moves the kernel."""
-        km2 = reduced_kernel(self.basis, 2 * self.nphi)
-        delta = np.max(np.abs(km2 - self.kernel))
-        if delta > 1e-6:
-            warnings.warn(
-                f"azimuthal kernel quadrature not converged: doubling nodes "
-                f"moved entries by {delta:.3e}", QuadratureWarning)
 
     def _cache_key(self):
         b = self.basis
@@ -181,11 +186,13 @@ class CollisionOperator:
         os.makedirs(cache_dir, exist_ok=True)
         _, payload = self._cache_key()
         header = payload.encode()
-        with open(self._cache_path(cache_dir), "wb") as fh:
+
+        def write(fh):
             fh.write(_CACHE_MAGIC)
             fh.write(np.uint32(len(header)).tobytes())
             fh.write(header)
             fh.write(np.ascontiguousarray(km, dtype=np.float64).tobytes())
+        write_atomic(self._cache_path(cache_dir), write)
 
     def _cache_load(self, cache_dir):
         path = self._cache_path(cache_dir)

@@ -37,10 +37,6 @@ class MissingStudy(MVPBError):
     """A report/consolidation step needs the output of a study that was not run."""
 
 
-class PoorFit(MVPBError):
-    """A least-squares fit fell below the required coefficient of determination."""
-
-
 class ConfigError(MVPBError):
     """Malformed or inconsistent run configuration."""
 

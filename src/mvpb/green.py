@@ -21,7 +21,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .collision import CollisionOperator
 from .errors import AliasingWarning
-from .spectral import eigen_branches_at, mode_matrix, propagate
+from .spectral import (eigen_branches_at, from_real_form, mode_matrix,
+                       propagate, real_form, to_real_form)
 from .velocity import VelocityBasis
 
 
@@ -85,16 +86,20 @@ def green_action(op: CollisionOperator, grid: SpaceGrid, seeds, ts,
     """Frequency coefficients of G(t) applied to seed profiles.
 
     Returns complex array (n_seeds, n_times, grid.nh, n).  Each frequency
-    is one call of propagate: exp(h B(eta)) once on the lattice of the
-    sample times, then mat-vecs on the seeds.
+    is one call of propagate on the real form B_r(eta): exp(h B_r) once on
+    the lattice of the sample times, then real mat-vecs on the seeds mapped
+    by U* and back by U.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=complex))
     ts = np.asarray(ts, dtype=float)
     ns, n = seeds.shape
+    perm = op.basis.reflection
     amp = 1.0 / (2.0 * grid.L) if scale_delta else 1.0
+    Z = to_real_form(seeds.T, perm)
     out = np.empty((ns, len(ts), grid.nh, n), dtype=complex)
     for k, eta in enumerate(grid.eta):
-        Y = propagate(mode_matrix(op, eta), seeds.T, ts)   # (nt, n, ns)
+        Y = propagate(real_form(mode_matrix(op, eta), perm), Z, ts)
+        Y = from_real_form(Y, perm, axis=1)                 # (nt, n, ns)
         out[:, :, k, :] = Y.transpose(2, 0, 1) * amp
     return out
 
@@ -178,16 +183,6 @@ class FluidPart:
     def action(self, t, g, left=None, right=None):
         """Physical field (nx, n) of [P_left G1(t) P_right g](x, v)."""
         return self.grid.to_physical(self.mode_coefficients(t, g, left, right), axis=0)
-
-    def macro_block(self, t):
-        """3x3 macro kernel block in the invariant coordinates, per x."""
-        b = self.op.basis
-        A = self.psi @ (b.invariants * b.w).T    # (nb, nm, 3)
-        D = self.dual @ (b.invariants * b.w).T   # (nb, nm, 3)
-        phases = np.exp(self.lam * t)
-        coef = np.zeros((self.grid.nh, 3, 3), dtype=complex)
-        coef[self.mode_idx] = np.einsum("jm,jma,jmb->mab", phases, A, D) * self.amp
-        return self.grid.to_physical(coef, axis=0)
 
 
 # ---------------------------------------------------------------------- #

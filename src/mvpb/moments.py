@@ -15,7 +15,8 @@ import numpy as np
 from .collision import CollisionOperator
 from .errors import CFLViolation, Instability
 from .green import SpaceGrid
-from .spectral import mode_matrix, propagate
+from .spectral import (from_real_form, mode_matrix, propagate, real_form,
+                       to_real_form)
 from .velocity import VelocityBasis
 
 ROOT23 = np.sqrt(2.0 / 3.0)
@@ -188,18 +189,21 @@ def kinetic_moment_trajectory(op: CollisionOperator, grid: SpaceGrid,
                               profile, ts, seed=None):
     """Exact linear kinetic moments for initial data profile(x) * seed(v).
 
-    Propagates each active frequency with one call of propagate (exp(h B)
-    once on the lattice of the sample times, then mat-vecs) and returns
-    MomentState snapshots (sector 0 only).
+    Propagates each active frequency with one call of propagate on the real
+    form B_r (exp(h B_r) once on the lattice of the sample times, then real
+    mat-vecs) and returns MomentState snapshots (sector 0 only).
     """
     b = op.basis
+    perm = b.reflection
     seed = b.invariants[0] if seed is None else np.asarray(seed, dtype=complex)
     ts = np.asarray(ts, dtype=float)
     phat = grid.to_coefficients(np.asarray(profile, dtype=float))
     active = np.where(np.abs(phat) > 1e-14 * np.abs(phat).max())[0]
+    z = to_real_form(seed, perm)
     coef = np.zeros((len(ts), grid.nh, b.n), dtype=complex)
     for k in active:
-        coef[:, k, :] = propagate(mode_matrix(op, grid.eta[k]), seed, ts) * phat[k]
+        Br = real_form(mode_matrix(op, grid.eta[k]), perm)
+        coef[:, k, :] = from_real_form(propagate(Br, z, ts), perm, axis=1) * phat[k]
     states = []
     for it in range(len(ts)):
         f = grid.to_physical(coef[it], axis=0)

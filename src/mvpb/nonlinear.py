@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
-from .collision import CollisionOperator
+from .collision import CollisionOperator, write_atomic
 from .errors import CFLViolation, Instability, MemoryBudget, NoConvergence
 from .green import SpaceGrid, power_law_fit
 from .moments import _v1_derivative_matrix
@@ -173,7 +173,9 @@ def build_gamma(basis: VelocityBasis, n_phi_star=16, n_omega_theta=12,
     key = hashlib.sha256(json.dumps(quad["tag"]).encode()).hexdigest()[:16]
     path = os.path.join(cache_dir, "gamma_%s.npy" % key) if cache_dir else None
     if path and os.path.exists(path):
-        return GammaTensor(np.load(path), quad["tag"])
+        T = _load_gamma(path, n)
+        if T is not None:
+            return GammaTensor(T, quad["tag"])
 
     t_start = time.time()
     interp = _TensorInterp(basis)
@@ -217,8 +219,19 @@ def build_gamma(basis: VelocityBasis, n_phi_star=16, n_omega_theta=12,
     T -= np.einsum("i,j,k->ijk", r, ew, ew)
     built = time.time() - t_start
     if path:
-        np.save(path, T)
+        write_atomic(path, lambda fh: np.save(fh, T))
     return GammaTensor(T, quad["tag"], built)
+
+
+def _load_gamma(path, n):
+    """Cached tensor, or None when the file is unreadable or not (n, n, n) float64."""
+    try:
+        T = np.load(path)
+    except (OSError, ValueError, EOFError):
+        return None
+    if T.dtype != np.float64 or T.shape != (n, n, n):
+        return None
+    return T
 
 
 def _apply_gamma_raw(T, f2, g2):

@@ -6,9 +6,19 @@ variables is generated by
     B(eta) = L - i eta v1 - (i eta / (1 + eta^2)) v1 P_mass,
 
 acting per azimuthal sector (the field coupling P_mass is present only in
-sector 0).  This module provides
+sector 0).
 
-* dense assembly of B(eta);
+B(eta) has a reflection symmetry.  The reflection P: v1 -> -v1 is an exact
+permutation of the symmetric velocity nodes; it commutes with L,
+anticommutes with v1, and leaves the mass profile chi0 even.  Hence
+conj(B) = P B P, and with the unitary U = (I - iP)/sqrt(2) the matrix
+B_r = U* B U is real.  Every dense per-eta kernel here (the branch
+eigensolves, the spectral-gap and zero-mode scans, the semigroup split)
+and the propagator in the Green's-function and moment code run on B_r in
+real arithmetic; eigenvectors and propagated vectors map back through U
+at O(n) cost per vector.  This module provides
+
+* dense assembly of B(eta) and its real form B_r;
 * the propagator exp(t B(eta)) X at a set of sample times, from one
   matrix exponential on the lattice of those times;
 * continuation of the low-frequency eigenvalue branches (two acoustic,
@@ -35,6 +45,7 @@ from .errors import BranchSwap, IllConditioned, NoConvergence
 from .velocity import VelocityBasis
 
 SOUND_SPEED = np.sqrt(8.0 / 3.0)
+SQRT2 = np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -49,6 +60,27 @@ def mode_matrix(op: CollisionOperator, eta):
         chi0 = b.invariants[0]
         B -= (1j * eta / (1.0 + eta ** 2)) * np.outer(b.v1 * chi0, chi0 * b.w)
     return B
+
+
+def real_form(B, perm):
+    """Real matrix B_r = U* B U, U = (I - iP)/sqrt(2), P the reflection perm.
+
+    Exact for conj(B) = P B P: B_r = Re(((B + PBP) + i(PB - BP))/2).  The
+    dropped imaginary part is the round-off of the node symmetry (a few
+    1e-15 of |B|).
+    """
+    R, I = B.real, B.imag
+    return 0.5 * (R + R[perm][:, perm] + I[:, perm] - I[perm])
+
+
+def to_real_form(X, perm, axis=0):
+    """U* X for velocity vectors along axis: into the coordinates of B_r."""
+    return (X + 1j * np.take(X, perm, axis=axis)) / SQRT2
+
+
+def from_real_form(Y, perm, axis=0):
+    """U Y for velocity vectors along axis: back from the coordinates of B_r."""
+    return (Y - 1j * np.take(Y, perm, axis=axis)) / SQRT2
 
 
 # ---------------------------------------------------------------------- #
@@ -85,12 +117,17 @@ def propagate(B, X, ts):
     by scaling and squaring and X is marched through the lattice with
     mat-vecs.  When that lattice needs more than n = len(B) steps, which
     cost about one expm, the march instead takes one expm per distinct gap
-    between the sorted times.
+    between the sorted times.  A real B with complex X marches the real and
+    imaginary parts of X as real columns.
     """
     ts = np.asarray(ts, dtype=float)
     X = np.asarray(X)
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise ValueError("sample times must be finite and non-negative")
+    if np.isrealobj(B) and np.iscomplexobj(X):
+        parts = np.stack([X.real, X.imag], axis=-1).reshape(len(X), -1)
+        Y = propagate(B, parts, ts).reshape((len(ts),) + X.shape + (2,))
+        return Y[..., 0] + 1j * Y[..., 1]
     out = np.empty((len(ts),) + X.shape, dtype=np.result_type(B, X))
     out[:] = X
     t_max = float(ts.max(initial=0.0))
@@ -246,13 +283,13 @@ def eigen_branches_at(op: CollisionOperator, etas, mu_hat=None, overlap_min=0.9)
     prev = psi[:, 0, :]
     for i in range(1, steps):
         eta = etas[i]
-        w, V = scipy.linalg.eig(mode_matrix(op, eta))
+        w, Vr = scipy.linalg.eig(real_form(mode_matrix(op, eta), b.reflection))
         fluid = np.where(w.real > -mu_hat / 2.0)[0]
         if len(fluid) != nb:
             r0_hat = etas[i - 1]
             last = i
             break
-        Vf = V[:, fluid]
+        Vf = from_real_form(Vr[:, fluid], b.reflection)
         # conjugating overlap in the plain weighted pairing
         ov = np.abs(np.conj(prev) * b.w @ Vf)
         ov /= (np.linalg.norm(np.sqrt(b.w)[None, :] * prev, axis=1)[:, None]
@@ -317,7 +354,8 @@ def spectral_gap_scan(ops, etas=None):
     out = np.full(etas.shape, -np.inf)
     for op in ops:
         for i, eta in enumerate(etas):
-            w = scipy.linalg.eigvals(mode_matrix(op, eta))
+            w = scipy.linalg.eigvals(
+                real_form(mode_matrix(op, eta), op.basis.reflection))
             out[i] = max(out[i], float(w.real.max()))
     return etas, out
 
@@ -326,7 +364,8 @@ def zero_mode_count(ops, tol=1e-6):
     """Eigenvalues of B(0) within tol of zero, counted with shear multiplicity 2."""
     count = 0
     for op in ops:
-        w = scipy.linalg.eigvals(mode_matrix(op, 0.0))
+        w = scipy.linalg.eigvals(
+            real_form(mode_matrix(op, 0.0), op.basis.reflection))
         c = int(np.sum(np.abs(w) < tol))
         count += 2 * c if op.basis.sector == 1 else c
     return count
@@ -544,20 +583,25 @@ def semigroup_split(op: CollisionOperator, eta, ts, r0_hat, mu_hat=None):
     b = op.basis
     if mu_hat is None:
         mu_hat = op.micro_gap()
-    B = mode_matrix(op, eta)
-    w, V = scipy.linalg.eig(B)
-    cond = np.linalg.cond(V)
+    perm = b.reflection
+    Br = real_form(mode_matrix(op, eta), perm)
+    w, Vr = scipy.linalg.eig(Br)
+    # V = U Vr and V^-1 = Vr^-1 U*; U is unitary, so cond(V) = cond(Vr)
+    cond = np.linalg.cond(Vr)
+    V = from_real_form(Vr, perm)
     Vi = None
     if cond < 1e9:
-        Vi = np.linalg.inv(V)
+        Vi = to_real_form(np.linalg.inv(Vr), perm, axis=1)
     ts = np.asarray(ts, dtype=float)
     chol = _eta_norm_factors(b, eta)
     S = np.empty((len(ts), b.n, b.n), dtype=complex)
-    for i, t in enumerate(ts):
-        if Vi is not None:
+    if Vi is not None:
+        for i, t in enumerate(ts):
             S[i] = (V * np.exp(w * t)[None, :]) @ Vi
-        else:
-            S[i] = scipy.linalg.expm(B * t)
+    else:
+        # exp(t B) = U exp(t B_r) U*, applied to the identity
+        S[:] = from_real_form(
+            propagate(Br, to_real_form(np.eye(b.n), perm), ts), perm, axis=1)
     S1 = np.zeros_like(S)
     if abs(eta) <= r0_hat and Vi is not None:
         fluid = w.real > -mu_hat / 2.0

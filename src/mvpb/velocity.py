@@ -101,6 +101,10 @@ class VelocityBasis:
 
         self.nodes_v1 = a1
         self.nodes_vr = ar
+        #: node index of the reflection v1 -> -v1, (i1, j) <-> (n1-1-i1, j);
+        #: an exact permutation because the v1 rule is symmetric
+        self.reflection = np.arange(self.n1 * self.nr).reshape(
+            self.n1, self.nr)[::-1].ravel()
         self.v1 = V1.ravel()
         self.vr = VR.ravel()
         #: reduced 2-D weight without the azimuthal and vr measure factors
@@ -182,13 +186,6 @@ class VelocityBasis:
         if self.sector == 0:
             val = val + self.mass_component(f) * self.mass_component(g) / (1.0 + eta ** 2)
         return val
-
-    def dot_eta(self, f, g, eta):
-        """Sesquilinear version of :meth:`inner_eta`."""
-        return self.inner_eta(np.conj(f), g, eta)
-
-    def norm_eta(self, f, eta):
-        return np.sqrt(np.real(self.dot_eta(f, f, eta)))
 
     def eta_metric(self, eta):
         """Matrix W_eta with (f, g)_eta = f^T W_eta g."""

@@ -57,6 +57,19 @@ def test_bad_times_exit_2(tmp_path, capsys, times):
     assert not os.path.exists(out / "manifest.json")
 
 
+@pytest.mark.parametrize("study", ["waves", "nsp-compare"])
+def test_zero_times_exit_2(tmp_path, capsys, study):
+    out = tmp_path / "run"
+    rc = main([study, "--out", str(out), "--set", "times=0",
+               "--set", "n1=8", "--set", "nr=4", "--set", "nx=64"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "needs at least one positive time" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out / "manifest.json")
+
+
 @given(st.lists(st.floats(min_value=0.0, allow_nan=False,
                           allow_infinity=False), min_size=1))
 def test_times_round_trip(ts):

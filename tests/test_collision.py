@@ -1,6 +1,8 @@
 """Collision-operator contracts: frequency asymptotics, weighted symmetry,
 null space, coercivity, deflated inverse, and transport coefficients."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,17 @@ def test_solve_micro_raises_on_bad_tolerance(ops16):
     g = op.basis.v1 * op.basis.invariants[1]
     with pytest.raises(IllConditioned):
         op.solve_micro(g, tol=1e-18)
+
+
+def test_kernel_cache_write_failure_leaves_no_file(tmp_path, monkeypatch):
+    op = CollisionOperator(VelocityBasis(8, 4, 8.0, 0))
+
+    def disk_full(*args, **kwargs):
+        raise OSError("disk full")
+
+    # the magic and header are written, then the payload conversion fails
+    monkeypatch.setattr(np, "ascontiguousarray", disk_full)
+    with pytest.raises(OSError):
+        op._cache_store(str(tmp_path), op.kernel)
+    assert not os.path.exists(op._cache_path(str(tmp_path)))
+    assert os.listdir(tmp_path) == []

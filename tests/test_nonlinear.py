@@ -1,6 +1,8 @@
 """Bilinear collision tensor, nonlinear field solve, and the split-step
 integrator for the perturbation system."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from mvpb.nonlinear import (GammaTensor, KineticState, NonlinearStepper,
                             apply_gamma, build_gamma, diffusive_profile,
                             field_time_derivative, initial_state,
                             poisson_newton, state_diagnostics)
+from mvpb.velocity import VelocityBasis
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +196,43 @@ def test_state_diagnostics_finite(ops16, grid, gamma16):
         assert np.isfinite(val), key
     assert diag["t"] == pytest.approx(0.3)
     assert diag["sup_f"] > 0
+
+
+# --------------------------------------------------------------------- #
+# gamma cache files
+# --------------------------------------------------------------------- #
+
+def _tiny_gamma(cache_dir):
+    return build_gamma(VelocityBasis(4, 2, 8.0, 0), n_phi_star=4,
+                       n_omega_theta=4, n_omega_phi=4, cache_dir=str(cache_dir))
+
+
+def test_gamma_cache_write_failure_leaves_no_file(tmp_path, monkeypatch):
+    def half_written(fh, arr):
+        fh.write(b"\x93NUMPY partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "save", half_written)
+    with pytest.raises(OSError):
+        _tiny_gamma(tmp_path)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("damage", ["wrong_shape", "truncated", "wrong_dtype"])
+def test_gamma_cache_damaged_file_rebuilt(tmp_path, damage):
+    first = _tiny_gamma(tmp_path)
+    (path,) = [os.path.join(tmp_path, f) for f in os.listdir(tmp_path)]
+    if damage == "wrong_shape":
+        np.save(path, np.zeros((2, 2)))
+    elif damage == "wrong_dtype":
+        np.save(path, first.tensor.astype(np.float32))
+    else:
+        with open(path, "rb") as fh:
+            head = fh.read(200)
+        with open(path, "wb") as fh:
+            fh.write(head)
+    again = _tiny_gamma(tmp_path)
+    assert again.build_seconds > 0
+    assert np.array_equal(again.tensor, first.tensor)
+    # the rebuild replaced the damaged file with a loadable one
+    assert np.array_equal(_tiny_gamma(tmp_path).tensor, first.tensor)

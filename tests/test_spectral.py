@@ -4,6 +4,7 @@ dispersion roots, eigenfunction expansion, and the semigroup split."""
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from mvpb import spectral
 from mvpb.collision import transport_coefficients
@@ -277,3 +278,121 @@ def test_propagate_rejects_negative_time(ops16):
     B = spectral.mode_matrix(ops16[0], 0.7)
     with pytest.raises(ValueError):
         spectral.propagate(B, np.ones(B.shape[0]), [1.0, -1.0])
+
+
+# --------------------------------------------------------------------- #
+# parity real form of B(eta)
+# --------------------------------------------------------------------- #
+
+def _unitary(basis):
+    P = np.eye(basis.n)[basis.reflection]
+    return (np.eye(basis.n) - 1j * P) / np.sqrt(2.0)
+
+
+def test_reflection_mirrors_v1(bases24):
+    for b in bases24:
+        r = b.reflection
+        assert np.array_equal(r[r], np.arange(b.n))
+        assert np.max(np.abs(b.v1[r] + b.v1)) <= 1e-13
+        assert np.array_equal(b.vr[r], b.vr)
+        assert np.max(np.abs(b.w[r] - b.w) / b.w) <= 1e-13
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, -0.7, 3.0])
+def test_real_form_is_unitary_transform(ops24, eta):
+    for op in ops24:
+        B = spectral.mode_matrix(op, eta)
+        U = _unitary(op.basis)
+        Br = spectral.real_form(B, op.basis.reflection)
+        assert Br.dtype == np.float64
+        ref = U.conj().T @ B @ U
+        assert np.max(np.abs(Br - ref)) <= 1e-13 * np.max(np.abs(B))
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, -0.7, 3.0])
+def test_real_form_spectrum_matches_complex_eig(ops24, eta):
+    for op in ops24:
+        B = spectral.mode_matrix(op, eta)
+        w = scipy.linalg.eigvals(B)
+        wr = scipy.linalg.eigvals(spectral.real_form(B, op.basis.reflection))
+        dist = np.abs(w[:, None] - wr[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(dist)
+        assert np.max(dist[rows, cols]) <= 1e-10 * np.max(np.abs(w))
+
+
+def test_real_form_maps_round_trip(bases16, rng):
+    b = bases16[0]
+    X = rng.standard_normal((b.n, 3)) + 1j * rng.standard_normal((b.n, 3))
+    U = _unitary(b)
+    Z = spectral.to_real_form(X, b.reflection)
+    assert np.max(np.abs(Z - U.conj().T @ X)) <= 1e-14 * np.max(np.abs(X))
+    back = spectral.from_real_form(Z, b.reflection)
+    assert np.max(np.abs(back - X)) <= 1e-14 * np.max(np.abs(X))
+    # the axis argument acts on the velocity axis of stacked vectors
+    Zt = spectral.to_real_form(X.T, b.reflection, axis=1)
+    assert np.array_equal(Zt, Z.T)
+
+
+def test_eigen_branches_match_complex_oracle(ops16, monkeypatch):
+    real = [spectral.eigen_branches(op, eta_max=0.5, steps=33) for op in ops16]
+    # complex oracle: the same continuation on a complex eig of mode_matrix
+    monkeypatch.setattr(spectral, "real_form", lambda B, perm: B)
+    monkeypatch.setattr(spectral, "from_real_form", lambda Y, perm: Y)
+    oracle = [spectral.eigen_branches(op, eta_max=0.5, steps=33) for op in ops16]
+    for bs, ref in zip(real, oracle):
+        assert np.array_equal(bs.labels, ref.labels)
+        assert np.max(np.abs(bs.beta - ref.beta)) <= 1e-10
+        assert np.max(np.abs(bs.damping - ref.damping)) <= 1e-10
+        assert bs.r0_hat == ref.r0_hat
+
+
+def test_real_form_branch_pairs_are_exact(ops16):
+    # conj(B) = P B P makes the spectrum closed under conjugation, and a real
+    # eigensolve keeps that exactly: the acoustic pair shares its damping
+    bs = spectral.eigen_branches(ops16[0], eta_max=0.5, steps=33)
+    jp = spectral.branch_by_label(bs, 1)
+    jm = spectral.branch_by_label(bs, -1)
+    assert np.array_equal(bs.lam[jm], np.conj(bs.lam[jp]))
+    assert bs.beta[spectral.branch_by_label(bs, 0)] == 0.0
+
+
+@pytest.mark.parametrize("ts", [[1.0, 2.0, 4.0], [0.5, 1.0, np.sqrt(2.0)]])
+def test_propagate_real_matrix_complex_vectors(ops16, rng, ts):
+    b = ops16[0].basis
+    Br = spectral.real_form(spectral.mode_matrix(ops16[0], 0.9), b.reflection)
+    X = rng.standard_normal((b.n, 2)) + 1j * rng.standard_normal((b.n, 2))
+    out = spectral.propagate(Br, X, ts)
+    assert out.shape == (len(ts),) + X.shape
+    for t, Y in zip(ts, out):
+        ref = scipy.linalg.expm(Br * t) @ X
+        assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_green_action_matches_expm(ops16, rng):
+    from mvpb.green import SpaceGrid, green_action
+    op0 = ops16[0]
+    b = op0.basis
+    grid = SpaceGrid(box_half_length=20.0, nx=16)
+    seeds = np.array([b.invariants[0], rng.standard_normal(b.n)])
+    ts = [0.0, 1.0, 2.0, 4.0, 8.0]
+    coef = green_action(op0, grid, seeds, ts)
+    amp = 1.0 / (2.0 * grid.L)
+    for k, eta in enumerate(grid.eta):
+        B = spectral.mode_matrix(op0, eta)
+        for it, t in enumerate(ts):
+            ref = (scipy.linalg.expm(B * t) @ seeds.T).T * amp
+            err = np.max(np.abs(coef[:, it, k] - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_semigroup_split_expm_fallback(ops16, monkeypatch):
+    # an eigenbasis too ill-conditioned to invert falls back to the
+    # propagator of the real form, which must give the same S(t)
+    op0 = ops16[0]
+    ts = [0.0, 1.0, 2.5, 5.0]
+    ref = spectral.semigroup_split(op0, 0.3, ts, r0_hat=0.5)
+    monkeypatch.setattr(np.linalg, "cond", lambda V: 1e12)
+    out = spectral.semigroup_split(op0, 0.3, ts, r0_hat=0.5)
+    assert np.max(out["norm_S1"]) == 0.0
+    assert np.max(np.abs(out["S"] - ref["S"])) <= 1e-10
+    assert np.max(np.abs(out["S2"] - out["S"])) == 0.0
