@@ -20,8 +20,7 @@ from .collision import CollisionOperator, transport_coefficients
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .errors import (BranchSwap, CFLViolation, IllConditioned, Instability,
                      MemoryBudget, MissingStudy, NoConvergence)
-from .green import (KineticWaves, SpaceGrid, linear_log_fit, power_law_fit,
-                    weighted_field_norm)
+from .green import KineticWaves, SpaceGrid, linear_log_fit, weighted_field_norm
 from .manifest import RunManifest, load_manifest, write_csv
 from .moments import (NSPEvolver, extract_moments, kinetic_moment_trajectory,
                       nsp_acoustic_speeds, nsp_damping_coefficients)
@@ -99,8 +98,8 @@ def study_green(cfg, man):
     man.add_file(path)
     evolved = [(t, s) for p, t, s in rows if p == "full" and t > 0]
     if len(evolved) >= 3:
-        p, _, r2 = power_law_fit([t for t, _ in evolved],
-                                 [s for _, s in evolved])
+        p, _, r2 = linear_log_fit(np.log1p([t for t, _ in evolved]),
+                                  [s for _, s in evolved])
         man.add_constant("green_decay_exponent", p)
         man.add_constant("green_decay_r2", r2)
 
@@ -271,8 +270,6 @@ def build_parser():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config key")
     rp = sub.add_parser("report")
@@ -304,10 +301,6 @@ def main(argv=None):
             overrides[key.strip()] = raw.strip()
         if args.out is not None:
             overrides["out"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if args.seed is not None:
-            overrides["seed"] = args.seed
         cfgmod.apply_overrides(cfg, overrides)
         if (cfg.study in POSITIVE_TIME_STUDIES
                 and not any(t > 0 for t in cfg.sample_times())):

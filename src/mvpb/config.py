@@ -21,10 +21,6 @@ def _positive(x):
     return x > 0
 
 
-def _nonnegative(x):
-    return x >= 0
-
-
 def parse_times(s):
     """Comma-separated sample times as floats; ValueError on a bad entry."""
     return [float(t) for t in s.split(",")]
@@ -66,11 +62,6 @@ SCHEMA = {
     "delta0": (float, 1e-3, _positive, "initial-data amplitude"),
     "gamma0": (float, 1.0, lambda x: x > 0.5, "initial-data spatial decay"),
     "collisions": (_bool, True, lambda b: True, "bilinear collision toggle"),
-    "field_terms": (_bool, True, lambda b: True, "quadratic field toggle"),
-    "nonlinear_poisson": (_bool, True, lambda b: True,
-                          "full field equation vs linearized"),
-    "seed": (int, 0, _nonnegative, "seed for randomized tests"),
-    "threads": (int, 1, _positive, "worker threads (advisory)"),
     "out": (str, "out", lambda s: len(s) > 0, "output directory"),
 }
 
@@ -87,9 +78,6 @@ class RunConfig:
 
     def sample_times(self):
         return parse_times(self.values["times"])
-
-    def echo_lines(self):
-        return [f"{k} = {self.values[k]}" for k in sorted(self.values)]
 
 
 def default_config(**overrides):

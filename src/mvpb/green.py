@@ -66,6 +66,11 @@ class SpaceGrid:
         c = c * (1j * self.eta) ** order
         return np.moveaxis(c, -1, axis)
 
+    def derivative(self, field, axis=-1, order=1):
+        """order-th x-derivative of a real field along axis."""
+        c = self.derivative_coefficients(self.to_coefficients(field, axis), axis, order)
+        return self.to_physical(c, axis)
+
     def poisson_coefficients(self, coef, axis=-1):
         """(I - d_xx)^{-1} in frequency space."""
         c = np.moveaxis(np.asarray(coef, dtype=complex), axis, -1)
@@ -335,23 +340,15 @@ def weighted_field_norm(basis: VelocityBasis, coef_field):
 
 
 # ---------------------------------------------------------------------- #
-# fits
+# fit
 # ---------------------------------------------------------------------- #
 
-def power_law_fit(ts, amps):
-    """Fit amp = C (1+t)^p; returns (p, C, r_squared)."""
-    x = np.log1p(np.asarray(ts, dtype=float))
-    y = np.log(np.maximum(np.asarray(amps, dtype=float), 1e-300))
-    A = np.stack([np.ones_like(x), x], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[1]), float(np.exp(coef[0])), r2
-
-
 def linear_log_fit(x, vals):
-    """Fit log(vals) = a + b x; returns (b, a, r_squared)."""
+    """Fit log(vals) = a + b x; returns (b, a, r_squared).
+
+    The one log-linear fit: x = log1p(t) gives the power law
+    exp(a) (1+t)^b, x = t the exponential rate -b.
+    """
     x = np.asarray(x, dtype=float)
     y = np.log(np.maximum(np.asarray(vals, dtype=float), 1e-300))
     A = np.stack([np.ones_like(x), x], axis=1)

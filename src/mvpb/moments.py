@@ -45,7 +45,11 @@ class MomentState:
 
 
 def solve_field(grid: SpaceGrid, n):
-    """Linearized field equation: (I - d_xx) phi = -n."""
+    """Linearized field equation: (I - d_xx) phi = -n.
+
+    The package's only linear field solve; the nonlinear field iterations
+    call it for each frequency-diagonal sweep.
+    """
     return grid.to_physical(grid.poisson_coefficients(grid.to_coefficients(-np.asarray(n))))
 
 
@@ -119,17 +123,14 @@ class NSPEvolver:
         self.cfl = float(cfl)
         self.max_speed = np.sqrt(8.0 / 3.0 if coupled else 5.0 / 3.0)
 
-    def _dx(self, u):
-        g = self.grid
-        return g.to_physical(g.derivative_coefficients(g.to_coefficients(u)))
-
     def _rhs(self, st: MomentState):
         g = self.grid
         phi = solve_field(g, st.n) if self.coupled else np.zeros_like(st.n)
-        dphi = self._dx(phi) if self.coupled else 0.0
-        dn = -self._dx(st.m1)
-        dm1 = -self._dx(st.n) - ROOT23 * self._dx(st.q)
-        dq = -ROOT23 * self._dx(st.m1)
+        dphi = g.derivative(phi) if self.coupled else 0.0
+        dm1_x = g.derivative(st.m1)
+        dn = -dm1_x
+        dm1 = -g.derivative(st.n) - ROOT23 * g.derivative(st.q)
+        dq = -ROOT23 * dm1_x
         if self.coupled:
             dm1 = dm1 + dphi
             if self.nonlinear_terms:
@@ -263,17 +264,15 @@ def energy_functionals(basis: VelocityBasis, grid: SpaceGrid, f_field,
                                basis.w * w_v ** (2.0 * weight_pow)) * dx)
 
     def phinorm2(p):
-        dp = grid.to_physical(grid.derivative_coefficients(grid.to_coefficients(p)))
+        dp = grid.derivative(p)
         return float((np.abs(p) ** 2 + np.abs(dp) ** 2).sum() * dx)
 
     # cache x-derivatives of f and phi
     fx = {0: f}
     px = {0: phi}
     for a in range(1, N + 1):
-        c = grid.to_coefficients(fx[a - 1], axis=0)
-        fx[a] = grid.to_physical(grid.derivative_coefficients(c, axis=0), axis=0)
-        px[a] = grid.to_physical(grid.derivative_coefficients(
-            grid.to_coefficients(px[a - 1])))
+        fx[a] = grid.derivative(fx[a - 1], axis=0)
+        px[a] = grid.derivative(px[a - 1])
 
     E = 0.0
     H = 0.0

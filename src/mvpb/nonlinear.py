@@ -22,8 +22,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .collision import CollisionOperator, write_atomic
 from .errors import CFLViolation, Instability, MemoryBudget, NoConvergence
-from .green import SpaceGrid, power_law_fit
-from .moments import _v1_derivative_matrix
+from .green import SpaceGrid, linear_log_fit
+from .moments import _v1_derivative_matrix, solve_field
 from .spectral import mode_matrix
 from .velocity import VelocityBasis, maxwellian
 
@@ -341,7 +341,7 @@ def poisson_newton(grid: SpaceGrid, n, tol=1e-12, maxit=25):
         a = np.exp(-phi) - 1.0          # pointwise Jacobian correction
         d = np.zeros_like(phi)
         for _inner in range(60):
-            d_new = grid.to_physical(grid.to_coefficients(-r - a * d) / sym)
+            d_new = solve_field(grid, r + a * d)
             if np.abs(d_new - d).max() < 0.01 * tol:
                 d = d_new
                 break
@@ -355,16 +355,20 @@ def poisson_newton(grid: SpaceGrid, n, tol=1e-12, maxit=25):
 
 
 def field_time_derivative(grid: SpaceGrid, phi, dn_dt):
-    """d_t phi from the differentiated field relation."""
-    sym = 1.0 + grid.eta ** 2
+    """d_t phi from the differentiated field relation.
+
+    Raises NoConvergence when the 60-sweep fixed point misses its tolerance.
+    """
     a = np.exp(-phi) - 1.0
     d = np.zeros_like(phi)
     for _ in range(60):
-        d_new = grid.to_physical(grid.to_coefficients(-dn_dt - a * d) / sym)
+        d_new = solve_field(grid, dn_dt + a * d)
         if np.abs(d_new - d).max() < 1e-14 * (1.0 + np.abs(d).max()):
             return d_new
         d = d_new
-    return d
+    raise NoConvergence("field time derivative: fixed point not reached "
+                        "in 60 sweeps (|exp(-phi) - 1| up to %.2e)"
+                        % np.abs(a).max())
 
 
 # ---------------------------------------------------------------------- #
@@ -420,8 +424,7 @@ class NonlinearStepper:
     def solve_phi(self, n_x):
         if self.nonlinear_poisson:
             return poisson_newton(self.grid, n_x)
-        c = self.grid.to_coefficients(-n_x) / (1.0 + self.grid.eta ** 2)
-        return self.grid.to_physical(c)
+        return solve_field(self.grid, n_x)
 
     def _half_linear(self, coef):
         return np.einsum("kij,kj->ki", self.props, coef)
@@ -433,17 +436,14 @@ class NonlinearStepper:
         f_x = np.real(f_x)
         n_x = f_x @ self.mass_w
         phi = self.solve_phi(n_x)
-        dphi = g.to_physical(g.derivative_coefficients(g.to_coefficients(phi)))
+        dphi = g.derivative(phi)
         rhs = np.zeros_like(f_x)
         if self.field_terms:
             rhs += 0.5 * dphi[:, None] * (self.b.v1[None, :] * f_x)
             rhs -= dphi[:, None] * (f_x @ self.Dv1_full.T)
             # beyond-linear part of the field source (the linear response
             # is inside the propagator)
-            phi_lin = g.to_physical(g.to_coefficients(-n_x)
-                                    / (1.0 + g.eta ** 2))
-            dphi_nl = g.to_physical(g.derivative_coefficients(
-                g.to_coefficients(phi - phi_lin)))
+            dphi_nl = g.derivative(phi - solve_field(g, n_x))
             rhs += dphi_nl[:, None] * self.v1chi0[None, :]
             cfl_speed = np.abs(dphi).max()
             if self.dt * cfl_speed > self.cfl * self._dv_min:
@@ -493,7 +493,7 @@ def initial_state(op: CollisionOperator, grid: SpaceGrid, delta0=1e-3,
     coef = grid.to_coefficients(f_x, axis=0)
     n_x = f_x @ (b.invariants[0] * b.w)
     phi = poisson_newton(grid, n_x) if nonlinear_poisson else \
-        grid.to_physical(grid.to_coefficients(-n_x) / (1.0 + grid.eta ** 2))
+        solve_field(grid, n_x)
     return KineticState(coef, phi, 0.0)
 
 
@@ -508,11 +508,10 @@ def state_diagnostics(stepper: NonlinearStepper, state: KineticState):
     dvf = f_x @ stepper.Dv1_full.T
     sup_dvf = np.abs(dvf * w2[None, :]).max(axis=1)        # L^inf_{v,2}
     phi = state.phi
-    dphi = g.to_physical(g.derivative_coefficients(g.to_coefficients(phi)))
+    dphi = g.derivative(phi)
     # density time derivative from the continuity relation d_t n = -d_x m1
     m1_x = f_x @ (b.v1 * stepper.mass_w)
-    dn_dt = -np.real(g.to_physical(
-        g.derivative_coefficients(g.to_coefficients(m1_x))))
+    dn_dt = -g.derivative(m1_x)
     phit = field_time_derivative(g, phi, dn_dt)
     prof = diffusive_profile(state.t, g.x, 0.5)
     r_half = (1.0 + state.t) ** (-0.5) * prof
@@ -552,14 +551,15 @@ def decay_study(op: CollisionOperator, grid: SpaceGrid, gamma: GammaTensor,
                 progress(rows[-1])
     ts = np.array([r["t"] for r in rows])
     sel = ts >= 10.0
-    p_f, _, r2_f = power_law_fit(ts[sel], np.array(
+    x = np.log1p(ts[sel])
+    p_f, _, r2_f = linear_log_fit(x, np.array(
         [r["sup_f"] for r in rows])[sel])
-    p_dv, _, r2_dv = power_law_fit(ts[sel], np.array(
+    p_dv, _, r2_dv = linear_log_fit(x, np.array(
         [r["sup_dvf"] for r in rows])[sel])
-    p_field, _, r2_field = power_law_fit(ts[sel], np.array(
+    p_field, _, r2_field = linear_log_fit(x, np.array(
         [r["sup_dphi"] + r["sup_phit"] for r in rows])[sel])
-    q = np.array([r["ratio_f"] for r in rows])[sel]
-    slope_q = float(np.polyfit(np.log1p(ts[sel]), np.log(q), 1)[0])
+    slope_q, _, _ = linear_log_fit(x, np.array(
+        [r["ratio_f"] for r in rows])[sel])
     return {
         "rows": rows,
         "exponent_f": p_f, "r2_f": r2_f,

@@ -323,10 +323,10 @@ def _fit_branches(bs: BranchSet, frac=0.25):
         # odd fit for the phase speed, even fit for the damping
         Ao = np.stack([x, x ** 3], axis=1)
         co, *_ = np.linalg.lstsq(Ao, im, rcond=None)
-        beta[j] = -co[0]
+        beta[j] = -co[0] + 0.0          # + 0.0: an exact zero is +0.0
         Ae = np.stack([x ** 2, x ** 4], axis=1)
         ce, *_ = np.linalg.lstsq(Ae, re, rcond=None)
-        damping[j] = -ce[0]
+        damping[j] = -ce[0] + 0.0
     bs.beta = beta
     bs.damping = damping
     if bs.sector == 0:
@@ -623,19 +623,6 @@ def semigroup_split(op: CollisionOperator, eta, ts, r0_hat, mu_hat=None):
         "norm_S2": np.array([eta_operator_norm(b, s, eta, chol) for s in S2]),
         "eigbasis_cond": cond,
     }
-
-
-def decay_rate_fit(ts, norms):
-    """Fit log(norm) = log(C) - alpha t; returns (alpha, C, r_squared)."""
-    ts = np.asarray(ts, dtype=float)
-    y = np.log(np.maximum(np.asarray(norms, dtype=float), 1e-300))
-    A = np.stack([np.ones_like(ts), -ts], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[1]), float(np.exp(coef[0])), r2
 
 
 def shear_macro_weight(op1: CollisionOperator, bs: BranchSet):

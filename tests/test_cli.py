@@ -2,14 +2,16 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mvpb
 from mvpb.cli import main
-from mvpb.config import default_config
+from mvpb.config import SCHEMA, default_config
 from mvpb.errors import MemoryBudget
 
 
@@ -33,6 +35,46 @@ def test_schema_prints(capsys):
     text = capsys.readouterr().out
     for key in ("n1", "nx", "delta0", "out"):
         assert key in text
+
+
+DELETED_KEYS = ("seed", "threads", "field_terms", "nonlinear_poisson")
+
+
+@pytest.mark.parametrize("key", DELETED_KEYS)
+def test_deleted_key_exit_2(tmp_path, capsys, key):
+    out = tmp_path / "run"
+    assert main(["coeffs", "--out", str(out), "--set", f"{key}=1",
+                 "--set", "n1=8", "--set", "nr=4"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(out / "manifest.json")
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
+def test_deleted_flag_rejected(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--out", str(tmp_path)] + flag)
+    assert exc.value.code == 2
+
+
+def test_schema_omits_deleted_keys(capsys):
+    assert main(["schema"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    listed = {ln.split(" = ", 1)[0] for ln in lines}
+    assert listed == set(SCHEMA)
+    assert not listed & set(DELETED_KEYS)
+
+
+def test_every_schema_key_is_read():
+    # a key that no study reads is a silent no-op knob
+    pkg = os.path.dirname(mvpb.__file__)
+    text = ""
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py") and name != "config.py":
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                text += fh.read()
+    unread = [key for key in SCHEMA if key not in ("study", "out")
+              and not re.search(rf"\bcfg\.{key}\b", text)]
+    assert unread == []
 
 
 def test_malformed_set_exit_2(tmp_path):

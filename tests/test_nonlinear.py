@@ -106,6 +106,13 @@ def test_field_time_derivative_linear_limit(grid):
     assert np.max(np.abs(out - lin)) <= 1e-12
 
 
+def test_field_time_derivative_divergent_sweep_raises(grid):
+    # |exp(-phi) - 1| = e - 1 > 1: the fixed-point sweep diverges
+    with pytest.raises(NoConvergence):
+        field_time_derivative(grid, np.full(grid.nx, -1.0),
+                              np.exp(-grid.x ** 2 / 30.0))
+
+
 # --------------------------------------------------------------------- #
 # split-step integrator
 # --------------------------------------------------------------------- #

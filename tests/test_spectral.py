@@ -1,6 +1,8 @@
 """Frequency-domain contracts: mode operator, eigenvalue branches,
 dispersion roots, eigenfunction expansion, and the semigroup split."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ import scipy.optimize
 from mvpb import spectral
 from mvpb.collision import transport_coefficients
 from mvpb.errors import BranchSwap
+from mvpb.green import linear_log_fit
 
 SOUND = np.sqrt(8.0 / 3.0)
 
@@ -204,6 +207,21 @@ def test_shear_macro_weight(ops24, branches24):
     assert np.max(np.abs(meas[sel] - model[sel])) <= 5e-4
 
 
+def test_branch_fit_writes_exact_zero_as_positive():
+    # purely real lam has an exactly-zero odd fit; the speed is +0.0, not -0.0
+    etas = np.linspace(0.0, 0.5, 11)
+    lam = -np.outer([0.5, 1.0, 2.0], etas ** 2) + 0j
+    bs = spectral._fit_branches(spectral.BranchSet(
+        sector=0, etas=etas, lam=lam, psi=None))
+    assert [math.copysign(1.0, beta) for beta in bs.beta] == [1.0] * 3
+    assert np.allclose(bs.damping, [0.5, 1.0, 2.0], rtol=1e-12)
+    # and purely imaginary lam has an exactly-zero damping
+    bs = spectral._fit_branches(spectral.BranchSet(
+        sector=1, etas=etas, lam=-1j * 0.7 * etas[None, :], psi=None))
+    assert math.copysign(1.0, bs.damping[0]) == 1.0
+    assert abs(bs.beta[0] - 0.7) <= 1e-12
+
+
 def test_semigroup_split(ops24):
     op0 = ops24[0]
     ts = np.linspace(0.0, 20.0, 11)
@@ -212,7 +230,8 @@ def test_semigroup_split(ops24):
     assert np.max(np.abs(out["S"][0] - np.eye(op0.basis.n))) <= 1e-9
     assert np.isfinite(out["norm_S2"][0])
     # remainder decays exponentially with positive fitted rate
-    alpha, C, r2 = spectral.decay_rate_fit(ts[1:], out["norm_S2"][1:])
+    slope, _, r2 = linear_log_fit(ts[1:], out["norm_S2"][1:])
+    alpha = -slope
     assert alpha > 0
     assert r2 > 0.99
     # identity S = S1 + S2
@@ -224,7 +243,8 @@ def test_semigroup_beyond_fluid_radius(ops24):
     ts = np.linspace(1.0, 20.0, 8)
     out = spectral.semigroup_split(op0, 2.0, ts, r0_hat=0.5)
     assert np.max(out["norm_S1"]) == 0.0
-    alpha, _, _ = spectral.decay_rate_fit(ts, out["norm_S"])
+    slope, _, _ = linear_log_fit(ts, out["norm_S"])
+    alpha = -slope
     assert alpha > 0
 
 
