@@ -26,7 +26,7 @@ from .moments import (NSPEvolver, extract_moments, kinetic_moment_trajectory,
                       nsp_acoustic_speeds, nsp_damping_coefficients)
 from .nonlinear import build_gamma, decay_study
 from .spectral import eigen_branches
-from .velocity import VelocityBasis, basis_pair
+from .velocity import VelocityBasis
 
 NUMERICAL_ERRORS = (BranchSwap, NoConvergence, Instability, CFLViolation,
                     IllConditioned, MemoryBudget, MissingStudy)
@@ -39,11 +39,10 @@ def cache_dir():
     return os.environ.get("MVPB_CACHE") or None
 
 
-def _operators(cfg: RunConfig):
-    b0, b1 = basis_pair(cfg.n1, cfg.nr, cfg.vmax)
-    op0 = CollisionOperator(b0, nphi=cfg.nphi, cache_dir=cache_dir())
-    op1 = CollisionOperator(b1, nphi=cfg.nphi, cache_dir=cache_dir())
-    return op0, op1
+def _operator(cfg: RunConfig, sector):
+    """Collision operator of one azimuthal sector."""
+    basis = VelocityBasis(cfg.n1, cfg.nr, cfg.vmax, sector)
+    return CollisionOperator(basis, nphi=cfg.nphi, cache_dir=cache_dir())
 
 
 # ---------------------------------------------------------------------- #
@@ -51,7 +50,7 @@ def _operators(cfg: RunConfig):
 # ---------------------------------------------------------------------- #
 
 def study_coeffs(cfg, man):
-    op0, op1 = _operators(cfg)
+    op0, op1 = _operator(cfg, 0), _operator(cfg, 1)
     tc = transport_coefficients(op0, op1)
     for key in ("sound_speed", "a_plus", "a_minus", "a_zero", "a_shear",
                 "kappa1", "kappa2", "mu_hat"):
@@ -64,7 +63,7 @@ def study_coeffs(cfg, man):
 
 
 def study_dispersion(cfg, man):
-    op0, op1 = _operators(cfg)
+    op0, op1 = _operator(cfg, 0), _operator(cfg, 1)
     rows = []
     for op in (op0, op1):
         bs = eigen_branches(op, eta_max=cfg.eta_max, steps=cfg.steps)
@@ -80,7 +79,7 @@ def study_dispersion(cfg, man):
 
 def study_green(cfg, man):
     from .green import synthesize_green
-    op0, _ = _operators(cfg)
+    op0 = _operator(cfg, 0)
     grid = SpaceGrid(cfg.box_half_length, cfg.nx)
     ts = cfg.sample_times()
     b = op0.basis
@@ -105,7 +104,7 @@ def study_green(cfg, man):
 
 
 def study_waves(cfg, man):
-    op0, _ = _operators(cfg)
+    op0 = _operator(cfg, 0)
     grid = SpaceGrid(cfg.box_half_length, cfg.nx)
     ts = [t for t in cfg.sample_times() if t > 0]
     b = op0.basis
@@ -126,10 +125,8 @@ def study_waves(cfg, man):
 
 
 def study_nsp_compare(cfg, man):
-    op0, _ = _operators(cfg)
+    op0, op1 = _operator(cfg, 0), _operator(cfg, 1)
     grid = SpaceGrid(cfg.box_half_length, cfg.nx)
-    tc_basis = VelocityBasis(cfg.n1, cfg.nr, cfg.vmax, sector=1)
-    op1 = CollisionOperator(tc_basis, nphi=cfg.nphi, cache_dir=cache_dir())
     tc = transport_coefficients(op0, op1)
     k1, k2 = tc["kappa1"], tc["kappa2"]
     speeds = nsp_acoustic_speeds(k1, k2, coupled=True)
@@ -159,7 +156,7 @@ def study_nsp_compare(cfg, man):
 
 
 def study_nonlinear(cfg, man):
-    op0, _ = _operators(cfg)
+    op0 = _operator(cfg, 0)
     grid = SpaceGrid(cfg.box_half_length, cfg.nx)
     gamma = None
     if cfg.collisions:

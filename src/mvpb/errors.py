@@ -41,9 +41,5 @@ class ConfigError(MVPBError):
     """Malformed or inconsistent run configuration."""
 
 
-class QuadratureWarning(UserWarning):
-    """Doubling quadrature resolution changed a result more than the guard tolerance."""
-
-
 class AliasingWarning(UserWarning):
     """Spectral energy at the Nyquist mode exceeds the aliasing tolerance."""

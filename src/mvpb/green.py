@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .collision import CollisionOperator
-from .errors import AliasingWarning
+from .errors import AliasingWarning, IllConditioned
 from .spectral import (eigen_branches_at, from_real_form, mode_matrix,
                        propagate, real_form, to_real_form)
 from .velocity import VelocityBasis
@@ -194,6 +194,11 @@ class FluidPart:
 # kinetic wave fronts (Picard recursion in frequency space)
 # ---------------------------------------------------------------------- #
 
+#: Picard step length and Gauss collocation nodes per step of KineticWaves
+WAVE_INTERVAL = 0.5
+WAVE_NODES = 4
+
+
 def _exp_moments(c, delta, p):
     """I_m(c) = int_0^delta exp(-c (delta - s)) s^m ds for m = 0..p-1.
 
@@ -208,22 +213,42 @@ def _exp_moments(c, delta, p):
     return out, ecd
 
 
+def _step_table(c, h):
+    """Exact propagation over the node offsets and the end of a step of h.
+
+    Returns (E, W) for the p + 1 targets d (the Gauss nodes, then h):
+    E[d] = exp(-c d), and W[d, q] weights the source at node q, so that
+    J(t0 + d) = E[d] J(t0) + sum_q W[d, q] F_q for the source F interpolated
+    through the nodes (monomials in s/h, exactly integrated).
+    """
+    p = WAVE_NODES
+    tau = (leggauss(p)[0] + 1.0) / 2.0
+    targets = np.append(tau, 1.0) * h
+    I, E = _exp_moments(np.broadcast_to(c, (p + 1,) + c.shape),
+                        targets[:, None, None], p)         # (p, p+1, nh, n)
+    I = I / (h ** np.arange(p))[:, None, None, None]
+    # source monomial coefficients from its node values
+    Vinv = np.linalg.inv(np.vander(tau, p, increasing=True))
+    return E, np.einsum("mq,mdkn->dqkn", Vinv, I)
+
+
 class KineticWaves:
     """Recursive wave-front family J_0 .. J_{levels-1} applied to seeds.
 
-    The recursion (per frequency eta, acting on a seed g):
+    The recursion (per frequency eta, acting on a seed g, J_{-1} = 0):
 
-        J_0(t) = exp(-(nu + i v1 eta) t) g
         d_t J_k = -(nu + i v1 eta) J_k + K J_{k-1} + i v1 eta chi0 Theta_{k-1}
-        (1 + eta^2) Theta_k = -(J_k, chi0)
+        (1 + eta^2) Theta_k = -(J_k, chi0),   J_k(0) = g if k = 0 else 0
 
-    integrated interval-by-interval with Gauss collocation nodes and exact
-    exponential-polynomial product integration, so the only error is the
-    polynomial interpolation of the source between nodes.
+    integrated step by step (length WAVE_INTERVAL, plus an edge at every
+    requested time).  Every level takes the same update: the source from
+    the level below at WAVE_NODES Gauss nodes, interpolated by a polynomial
+    and integrated exactly against the exponential, so the only error is
+    that interpolation; level 0 has a zero source.
     """
 
     def __init__(self, op: CollisionOperator, grid: SpaceGrid, seeds, out_ts,
-                 levels=7, interval=0.5, nodes=4):
+                 levels=7):
         self.op = op
         self.grid = grid
         b = op.basis
@@ -231,7 +256,6 @@ class KineticWaves:
         self.out_ts = np.asarray(out_ts, dtype=float)
         self.levels = int(levels)
         ns, n = self.seeds.shape
-        nh = grid.nh
         eta = grid.eta
         amp = 1.0 / (2.0 * grid.L)
 
@@ -242,9 +266,13 @@ class KineticWaves:
         src_field = 1j * np.outer(eta, b.v1 * chi0)            # (nh, n)
         s_eta = 1.0 / (1.0 + eta ** 2)
 
+        def source(J):
+            theta = -(J @ mass_w) * s_eta
+            return J @ Keff.T + theta[..., None] * src_field
+
         T = float(self.out_ts.max())
-        nsteps = int(np.ceil(T / interval - 1e-12))
-        lattice = np.linspace(0.0, nsteps * interval, nsteps + 1)
+        nsteps = int(np.ceil(T / WAVE_INTERVAL - 1e-12))
+        lattice = np.linspace(0.0, nsteps * WAVE_INTERVAL, nsteps + 1)
         # every requested time is an interval edge, so none falls between
         # two recorded edges; the integrator takes any step length
         edges = list(lattice[lattice <= T + 1e-9])
@@ -252,77 +280,33 @@ class KineticWaves:
             if np.abs(np.subtract(edges, t)).min() >= 1e-9:
                 edges.append(t)
         edges = np.sort(edges)
-        nsteps = len(edges) - 1
-        xg, wg = leggauss(nodes)
-        p = nodes
-        # monomial conversion on the reference interval
-        tau_ref = (xg + 1.0) / 2.0
-        Vinv = np.linalg.inv(np.vander(tau_ref, p, increasing=True).T).T
 
-        def theta_of(J):
-            return -(J @ mass_w) * s_eta[None, :]              # (ns, nh)
-
-        # running values at the current interval start, per level
-        J_start = np.zeros((self.levels, ns, nh, n), dtype=complex)
-        J_start[0] = amp * np.broadcast_to(self.seeds[:, None, :], (ns, nh, n))
-
-        nt = len(self.out_ts)
+        # running values at the current step start, per level
+        J_start = np.zeros((self.levels, ns, grid.nh, n), dtype=complex)
+        J_start[0] = amp * self.seeds[:, None, :]
         # wave_sum excludes the top level: the highest computed front is the
         # leading term of the remainder, not part of the truncated wave sum
-        self.wave_sum = np.zeros((ns, nt, nh, n), dtype=complex)
-        self.top = np.zeros((ns, nt, nh, n), dtype=complex)
-        self.theta_sum = np.zeros((ns, nt, nh), dtype=complex)
-        self.theta_top = np.zeros((ns, nt, nh), dtype=complex)
-        self._record(0.0, J_start, theta_of)
+        self.wave_sum = np.zeros((ns, len(self.out_ts), grid.nh, n), dtype=complex)
+        self.top = np.zeros_like(self.wave_sum)
+        self._record(0.0, J_start)
 
-        for istep in range(nsteps):
-            t0, t1 = edges[istep], edges[istep + 1]
+        tables = {}
+        for t0, t1 in zip(edges[:-1], edges[1:]):
             h = t1 - t0
-            taus = tau_ref * h                                  # node offsets
-            # precompute exponential moments for each node offset and for h
-            targets = np.concatenate([taus, [h]])
-            moms = []
-            for d in targets:
-                I, ecd = _exp_moments(c, d, p)
-                moms.append((I, ecd))
-            J_nodes_prev = None
-            J_end = np.empty_like(J_start)
-            for k in range(self.levels):
-                if k == 0:
-                    J_nodes = np.empty((p, ns, nh, n), dtype=complex)
-                    for q in range(p):
-                        J_nodes[q] = J_start[0] * moms[q][1][None, :, :]
-                    J_end[0] = J_start[0] * moms[p][1][None, :, :]
-                else:
-                    # source at the interval nodes from the previous level
-                    F = np.empty((p, ns, nh, n), dtype=complex)
-                    for q in range(p):
-                        F[q] = J_nodes_prev[q] @ Keff.T
-                        F[q] += theta_of(J_nodes_prev[q])[:, :, None] * src_field[None, :, :]
-                    # monomial coefficients in s/h on [0, 1]
-                    coefs = np.tensordot(Vinv, F, axes=(1, 0))  # (p, ns, nh, n)
-                    J_nodes = np.empty((p, ns, nh, n), dtype=complex)
-                    for qt, d in enumerate(targets):
-                        I, ecd = moms[qt]
-                        acc = J_start[k] * ecd[None, :, :]
-                        for m in range(p):
-                            acc = acc + coefs[m] * (I[m] / h ** m)[None, :, :]
-                        if qt < p:
-                            J_nodes[qt] = acc
-                        else:
-                            J_end[k] = acc
-                J_nodes_prev = J_nodes
-            J_start = J_end
-            self._record(t1, J_start, theta_of)
+            if h not in tables:
+                tables[h] = _step_table(c, h)
+            E, W = tables[h]
+            F = np.zeros((WAVE_NODES, ns, grid.nh, n), dtype=complex)
+            for Jk in J_start:
+                J = Jk * E[:, None] + np.einsum("dqkn,qskn->dskn", W, F)
+                Jk[...] = J[-1]
+                F = source(J[:-1])
+            self._record(t1, J_start)
 
-    def _record(self, t, J_levels, theta_of):
-        hits = np.where(np.abs(self.out_ts - t) < 1e-9)[0]
-        for it in hits:
-            self.wave_sum[:, it] = J_levels[:-1].sum(axis=0)
-            self.top[:, it] = J_levels[-1]
-            th = np.stack([theta_of(J) for J in J_levels])
-            self.theta_sum[:, it] = th[:-1].sum(axis=0)
-            self.theta_top[:, it] = th[-1]
+    def _record(self, t, J_levels):
+        hits = np.abs(self.out_ts - t) < 1e-9
+        self.wave_sum[:, hits] = J_levels[:-1].sum(axis=0)[:, None]
+        self.top[:, hits] = J_levels[-1][:, None]
 
     # ------------------------------------------------------------------ #
 
@@ -347,9 +331,13 @@ def linear_log_fit(x, vals):
     """Fit log(vals) = a + b x; returns (b, a, r_squared).
 
     The one log-linear fit: x = log1p(t) gives the power law
-    exp(a) (1+t)^b, x = t the exponential rate -b.
+    exp(a) (1+t)^b, x = t the exponential rate -b.  Raises IllConditioned
+    on fewer than two distinct abscissae, where the line is not determined.
     """
     x = np.asarray(x, dtype=float)
+    if np.unique(x).size < 2:
+        raise IllConditioned(
+            f"log-linear fit needs two distinct abscissae, got {x.tolist()}")
     y = np.log(np.maximum(np.asarray(vals, dtype=float), 1e-300))
     A = np.stack([np.ones_like(x), x], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)

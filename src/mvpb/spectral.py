@@ -558,16 +558,9 @@ def expansion_check(op: CollisionOperator, bs: BranchSet):
     return err
 
 
-def _eta_norm_factors(basis, eta):
-    """Cholesky factor of the eta-metric, for operator norms in that metric."""
-    W = basis.eta_metric(eta)
-    Lc = np.linalg.cholesky(W)
-    return Lc
-
-
 def eta_operator_norm(basis, A, eta, chol=None):
     """Operator norm of A in the eta-weighted L2 geometry."""
-    Lc = _eta_norm_factors(basis, eta) if chol is None else chol
+    Lc = np.linalg.cholesky(basis.eta_metric(eta)) if chol is None else chol
     M = Lc.T @ A
     M = scipy.linalg.solve_triangular(Lc, M.T, lower=True, trans="T").T
     return float(np.linalg.svd(M, compute_uv=False)[0])
@@ -593,7 +586,7 @@ def semigroup_split(op: CollisionOperator, eta, ts, r0_hat, mu_hat=None):
     if cond < 1e9:
         Vi = to_real_form(np.linalg.inv(Vr), perm, axis=1)
     ts = np.asarray(ts, dtype=float)
-    chol = _eta_norm_factors(b, eta)
+    chol = np.linalg.cholesky(b.eta_metric(eta))
     S = np.empty((len(ts), b.n, b.n), dtype=complex)
     if Vi is not None:
         for i, t in enumerate(ts):

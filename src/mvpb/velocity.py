@@ -99,8 +99,6 @@ class VelocityBasis:
         V1, VR = np.meshgrid(a1, ar, indexing="ij")
         W1, WR = np.meshgrid(w1, wr, indexing="ij")
 
-        self.nodes_v1 = a1
-        self.nodes_vr = ar
         #: node index of the reflection v1 -> -v1, (i1, j) <-> (n1-1-i1, j);
         #: an exact permutation because the v1 rule is symmetric
         self.reflection = np.arange(self.n1 * self.nr).reshape(
@@ -130,10 +128,8 @@ class VelocityBasis:
             momentum = self.v1 * sM
             energy = (self.speed ** 2 - 3.0) * sM / np.sqrt(6.0)
             raw = [mass, momentum, energy]
-            self.invariant_names = ("mass", "momentum_x", "energy")
         else:
             raw = [self.vr * sM]
-            self.invariant_names = ("momentum_perp",)
         self.invariants_raw = np.array(raw)
 
         # Orthonormalize in the discrete pairing; keeps the hydrodynamic

@@ -112,6 +112,33 @@ def test_zero_times_exit_2(tmp_path, capsys, study):
     assert not os.path.exists(out / "manifest.json")
 
 
+@pytest.mark.parametrize("times", ["1", "2,2", "0,2,2"])
+def test_waves_single_time_exit_3(tmp_path, times):
+    # one distinct positive time cannot fix a decay slope
+    out = tmp_path / "run"
+    rc = main(["waves", "--out", str(out), "--set", f"times={times}",
+               "--set", "n1=8", "--set", "nr=4", "--set", "nx=64"])
+    assert rc == 3
+    doc = _load_manifest(out)
+    assert doc["partial"]
+    assert "IllConditioned" in doc["error"]
+    assert "wave_sum_log_slope" not in doc["constants"]
+
+
+def test_nonlinear_empty_fit_window_exit_3(tmp_path):
+    # the decay fit uses t >= 10; at t_end = 10 the last sample sits at
+    # t = 9.99999999999998, so the window is empty
+    out = tmp_path / "run"
+    rc = main(["nonlinear", "--out", str(out), "--set", "t_end=10",
+               "--set", "n1=8", "--set", "nr=4", "--set", "nx=64",
+               "--set", "collisions=0"])
+    assert rc == 3
+    doc = _load_manifest(out)
+    assert doc["partial"]
+    assert "IllConditioned" in doc["error"]
+    assert "exponent_f" not in doc["constants"]
+
+
 @given(st.lists(st.floats(min_value=0.0, allow_nan=False,
                           allow_infinity=False), min_size=1))
 def test_times_round_trip(ts):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpb import green, spectral
-from mvpb.errors import AliasingWarning
+from mvpb.errors import AliasingWarning, IllConditioned
 from mvpb.green import (FluidPart, KineticWaves, SpaceGrid, green_action,
                         hump_centers, linear_log_fit, synthesize_green,
                         weighted_field_norm)
@@ -246,6 +246,33 @@ def test_off_lattice_time_recorded(ops16, grid):
         assert np.max(np.abs(kw.wave_sum[:, it] - exact)) <= 1e-12
 
 
+def test_level_one_front_closed_form(ops16):
+    # d_t J_1 = -c J_1 + S J_0 with J_0 = amp exp(-c t) g, so
+    # J_1,i(t) = amp sum_j S_ij g_j (e^{-t c_j} - e^{-t c_i}) / (c_i - c_j),
+    # written as t e^{-t c_i} expm1(z) / z, z = t (c_i - c_j), with limit 1
+    op0, _ = ops16
+    b = op0.basis
+    grid = SpaceGrid(box_half_length=20.0, nx=32)
+    ts = [0.5, 1.0, 2.0, 3.3]                       # 3.3 is off the lattice
+    kw = KineticWaves(op0, grid, b.invariants[0], ts, levels=2)
+    amp = 1.0 / (2.0 * grid.L)
+    g = b.invariants[0]
+    chi0 = b.invariants_raw[0]
+    for k in np.where(grid.eta <= 1.3)[0]:
+        eta = grid.eta[k]
+        S = (op0.Lmat + np.diag(op0.nu) - (1j * eta / (1.0 + eta ** 2))
+             * np.outer(b.v1 * chi0, chi0 * b.w))
+        c = op0.nu + 1j * eta * b.v1
+        for it, t in enumerate(ts):
+            z = t * (c[:, None] - c[None, :])
+            zero = z == 0
+            phi = np.expm1(z) / np.where(zero, 1.0, z)
+            phi[zero] = 1.0
+            exact = amp * (S * (t * np.exp(-t * c)[:, None] * phi)) @ g
+            err = np.abs(kw.top[0, it, k] - exact).max()
+            assert err <= 1e-3 * np.abs(exact).max()
+
+
 def test_wave_frequency_decay(ops16, grid):
     # the level-6 front decays in eta at least like (1+eta)^{-2}
     op0, _ = ops16
@@ -335,6 +362,21 @@ def test_linear_log_fit_synthetic():
     assert abs(b + 0.7) <= 1e-6
     assert abs(a - np.log(5.0)) <= 1e-6
     assert r2 > 0.999999
+
+
+@pytest.mark.parametrize("x", [[], [1.0], [2.0, 2.0], [3.0, 3.0, 3.0]])
+def test_linear_log_fit_needs_two_abscissae(x):
+    # one distinct abscissa leaves the slope undetermined; lstsq would
+    # return its minimum-norm solution with R^2 = 1
+    with pytest.raises(IllConditioned):
+        linear_log_fit(x, np.exp(-np.asarray(x)))
+
+
+def test_linear_log_fit_two_points():
+    b, a, r2 = linear_log_fit([1.0, 2.0], [np.exp(-1.0), np.exp(-3.0)])
+    assert abs(b + 2.0) <= 1e-12
+    assert abs(a - 1.0) <= 1e-12
+    assert r2 == pytest.approx(1.0)
 
 
 def test_hump_centers_synthetic():
