@@ -53,6 +53,51 @@ def write_atomic(path, write):
         raise
 
 
+def _header_bytes(header):
+    return json.dumps(header, sort_keys=True).encode()
+
+
+def _cache_prefix(header):
+    head = _header_bytes(header)
+    return _CACHE_MAGIC + np.uint32(len(head)).tobytes() + head
+
+
+def cache_path(cache_dir, stem, header):
+    """File name <stem>_<hash of the JSON header>.bin in cache_dir."""
+    key = hashlib.sha256(_header_bytes(header)).hexdigest()[:24]
+    return os.path.join(cache_dir, f"{stem}_{key}.bin")
+
+
+def store_array(path, header, arr):
+    """Write arr atomically under its JSON header.
+
+    Layout: magic(8) | u32 header_len | JSON header | float64 row-major.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+
+    def write(fh):
+        fh.write(_cache_prefix(header))
+        fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    write_atomic(path, write)
+
+
+def load_array(path, header, shape):
+    """Array that store_array wrote under this header, else None.
+
+    None also when the file is missing, has another header, or its payload
+    is not exactly the float64 bytes of shape.
+    """
+    if not os.path.exists(path):
+        return None
+    arr = np.empty(shape)
+    with open(path, "rb") as fh:
+        prefix = _cache_prefix(header)
+        if fh.read(len(prefix)) != prefix or fh.readinto(arr) != arr.nbytes \
+                or fh.read(1):
+            return None
+    return arr
+
+
 def collision_frequency(speed):
     """Multiplicative part nu(|v|) of the linearized hard-sphere operator.
 
@@ -142,7 +187,8 @@ class CollisionOperator:
         self.nphi = int(nphi)
         km = None
         if cache_dir is not None:
-            km = self._cache_load(cache_dir)
+            km = load_array(self._cache_path(cache_dir), self._cache_header(),
+                            (basis.n, basis.n))
         if km is None:
             km = reduced_kernel(basis, self.nphi)
             if cache_dir is not None:
@@ -169,47 +215,16 @@ class CollisionOperator:
 
     # ------------------------------------------------------------------ #
 
-    def _cache_key(self):
+    def _cache_header(self):
         b = self.basis
-        payload = json.dumps({
-            "sector": b.sector, "n1": b.n1, "nr": b.nr, "vmax": b.vmax,
-            "nphi": self.nphi, "fmt": 2,
-        }, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:24], payload
+        return {"sector": b.sector, "n1": b.n1, "nr": b.nr, "vmax": b.vmax,
+                "nphi": self.nphi, "fmt": 2}
 
     def _cache_path(self, cache_dir):
-        key, _ = self._cache_key()
-        return os.path.join(cache_dir, f"kernel_{key}.bin")
+        return cache_path(cache_dir, "kernel", self._cache_header())
 
     def _cache_store(self, cache_dir, km):
-        """Binary layout: magic(8) | u32 header_len | json header | float64 row-major."""
-        os.makedirs(cache_dir, exist_ok=True)
-        _, payload = self._cache_key()
-        header = payload.encode()
-
-        def write(fh):
-            fh.write(_CACHE_MAGIC)
-            fh.write(np.uint32(len(header)).tobytes())
-            fh.write(header)
-            fh.write(np.ascontiguousarray(km, dtype=np.float64).tobytes())
-        write_atomic(self._cache_path(cache_dir), write)
-
-    def _cache_load(self, cache_dir):
-        path = self._cache_path(cache_dir)
-        if not os.path.exists(path):
-            return None
-        with open(path, "rb") as fh:
-            if fh.read(8) != _CACHE_MAGIC:
-                return None
-            hlen = int(np.frombuffer(fh.read(4), dtype=np.uint32)[0])
-            _, payload = self._cache_key()
-            if fh.read(hlen) != payload.encode():
-                return None
-            n = self.basis.n
-            buf = fh.read(8 * n * n)
-            if len(buf) != 8 * n * n:
-                return None
-            return np.frombuffer(buf, dtype=np.float64).reshape(n, n).copy()
+        store_array(self._cache_path(cache_dir), self._cache_header(), km)
 
     # ------------------------------------------------------------------ #
 

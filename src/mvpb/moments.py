@@ -20,6 +20,8 @@ from .spectral import (from_real_form, mode_matrix, propagate, real_form,
 from .velocity import VelocityBasis
 
 ROOT23 = np.sqrt(2.0 / 3.0)
+#: Courant number of the explicit steps (NSPEvolver, NonlinearStepper)
+CFL = 0.9
 
 
 @dataclass
@@ -114,13 +116,12 @@ class NSPEvolver:
     """
 
     def __init__(self, grid: SpaceGrid, kappa1, kappa2, coupled=True,
-                 nonlinear_terms=True, cfl=0.9):
+                 nonlinear_terms=True):
         self.grid = grid
         self.kappa1 = float(kappa1)
         self.kappa2 = float(kappa2)
         self.coupled = coupled
         self.nonlinear_terms = nonlinear_terms
-        self.cfl = float(cfl)
         self.max_speed = np.sqrt(8.0 / 3.0 if coupled else 5.0 / 3.0)
 
     def _rhs(self, st: MomentState):
@@ -163,10 +164,10 @@ class NSPEvolver:
 
     def evolve(self, state0: MomentState, t_end, dt, out_ts=None):
         """March to t_end; returns (times, list of MomentState snapshots)."""
-        if dt > self.cfl * self.grid.dx / self.max_speed:
+        if dt > CFL * self.grid.dx / self.max_speed:
             raise CFLViolation(
                 "dt=%g exceeds advective limit %g"
-                % (dt, self.cfl * self.grid.dx / self.max_speed))
+                % (dt, CFL * self.grid.dx / self.max_speed))
         nsteps = int(round(t_end / dt))
         out_ts = np.asarray(out_ts if out_ts is not None else [t_end], dtype=float)
         st = state0.copy()
@@ -187,8 +188,8 @@ class NSPEvolver:
 
 
 def kinetic_moment_trajectory(op: CollisionOperator, grid: SpaceGrid,
-                              profile, ts, seed=None):
-    """Exact linear kinetic moments for initial data profile(x) * seed(v).
+                              profile, ts):
+    """Exact linear kinetic moments for initial data profile(x) * chi0(v).
 
     Propagates each active frequency with one call of propagate on the real
     form B_r (exp(h B_r) once on the lattice of the sample times, then real
@@ -196,11 +197,10 @@ def kinetic_moment_trajectory(op: CollisionOperator, grid: SpaceGrid,
     """
     b = op.basis
     perm = b.reflection
-    seed = b.invariants[0] if seed is None else np.asarray(seed, dtype=complex)
     ts = np.asarray(ts, dtype=float)
     phat = grid.to_coefficients(np.asarray(profile, dtype=float))
     active = np.where(np.abs(phat) > 1e-14 * np.abs(phat).max())[0]
-    z = to_real_form(seed, perm)
+    z = to_real_form(b.invariants[0], perm)
     coef = np.zeros((len(ts), grid.nh, b.n), dtype=complex)
     for k in active:
         Br = real_form(mode_matrix(op, grid.eta[k]), perm)

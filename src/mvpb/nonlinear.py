@@ -10,9 +10,6 @@ tensor over the velocity nodes, built once by quadrature and cached.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import time
 from dataclasses import dataclass
 
@@ -20,10 +17,10 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
-from .collision import CollisionOperator, write_atomic
+from .collision import CollisionOperator, cache_path, load_array, store_array
 from .errors import CFLViolation, Instability, MemoryBudget, NoConvergence
 from .green import SpaceGrid, linear_log_fit
-from .moments import _v1_derivative_matrix, solve_field
+from .moments import CFL, _v1_derivative_matrix, solve_field
 from .spectral import mode_matrix
 from .velocity import VelocityBasis, maxwellian
 
@@ -63,12 +60,13 @@ class _TensorInterp:
         self.br = _bary_weights(self.vr)
         self.vmax = basis.vmax
 
-    def matrix(self, p1, pr):
-        """(npts, n) cardinal matrix; rows are zero outside the node box."""
+    def matrix(self, p1, pr, out):
+        """(npts, n) cardinal rows, written into out; zero outside the box."""
         inside = (np.abs(p1) <= self.vmax) & (pr <= self.vmax)
         A1 = _bary_matrix(self.v1, self.b1, np.clip(p1, -self.vmax, self.vmax))
         Ar = _bary_matrix(self.vr, self.br, np.clip(pr, 0.0, self.vmax))
-        out = np.einsum("qa,qb->qab", A1, Ar).reshape(len(p1), -1)
+        np.einsum("qa,qb->qab", A1, Ar,
+                  out=out.reshape(len(p1), self.n1, self.nr))
         out[~inside] = 0.0
         return out
 
@@ -77,64 +75,80 @@ class _TensorInterp:
 # bilinear collision tensor
 # ---------------------------------------------------------------------- #
 
-def _gamma_quadrature(basis: VelocityBasis, n_phi_star=16, n_omega_theta=12,
-                      n_omega_phi=24):
+#: quadrature of the collision integral: midpoint nodes in the azimuth of v*,
+#: Gauss nodes in the polar cosine of omega times midpoint nodes in its azimuth
+PHI_STAR_NODES, OMEGA_THETA_NODES, OMEGA_PHI_NODES = 16, 12, 24
+#: quadrature points per interpolation chunk of one output node
+GAMMA_CHUNK = 32768
+#: largest Gamma tensor (entries) that build_gamma will allocate
+GAMMA_MEMORY_CAP = 512 ** 3
+
+
+def _gamma_quadrature(basis: VelocityBasis):
     """Quadrature node set over (v*, phi*, omega) shared by both paths.
 
     v* runs over the basis's own 2-D node set (its quadrature weights
     divided by the azimuthal factor give the (v*1, v*r) measure), phi* is
     a midpoint rule for the azimuth of v*, and omega uses Gauss nodes in
-    the polar cosine times a midpoint azimuth.
+    the polar cosine times a midpoint azimuth.  ell_star interpolates node
+    values at the v* points.
     """
-    phis = (np.arange(n_phi_star) + 0.5) * 2.0 * np.pi / n_phi_star
-    ct, wt = leggauss(n_omega_theta)
-    pho = (np.arange(n_omega_phi) + 0.5) * 2.0 * np.pi / n_omega_phi
+    phis = (np.arange(PHI_STAR_NODES) + 0.5) * 2.0 * np.pi / PHI_STAR_NODES
+    ct, wt = leggauss(OMEGA_THETA_NODES)
+    pho = (np.arange(OMEGA_PHI_NODES) + 0.5) * 2.0 * np.pi / OMEGA_PHI_NODES
     st = np.sqrt(1.0 - ct ** 2)
     omega = np.stack([
-        np.repeat(ct, n_omega_phi),
+        np.repeat(ct, OMEGA_PHI_NODES),
         np.outer(st, np.cos(pho)).ravel(),
         np.outer(st, np.sin(pho)).ravel(),
     ], axis=1)                                           # (n_om, 3)
-    w_omega = np.repeat(wt, n_omega_phi) * (2.0 * np.pi / n_omega_phi)
+    w_omega = np.repeat(wt, OMEGA_PHI_NODES) * (2.0 * np.pi / OMEGA_PHI_NODES)
     # v* in 3-D for each (node, phi*)
-    v1s = np.repeat(basis.v1, n_phi_star)
-    vrs = np.repeat(basis.vr, n_phi_star)
+    v1s = np.repeat(basis.v1, PHI_STAR_NODES)
+    vrs = np.repeat(basis.vr, PHI_STAR_NODES)
     phs = np.tile(phis, basis.n)
     vstar = np.stack([v1s, vrs * np.cos(phs), vrs * np.sin(phs)], axis=1)
     # measure: basis.w includes the sector azimuthal factor 2*pi; the
     # explicit phi* rule replaces it
-    w_star = np.repeat(basis.w / (2.0 * np.pi), n_phi_star) \
-        * (2.0 * np.pi / n_phi_star)
-    sqm_star = np.sqrt(maxwellian(vstar[:, 0], np.hypot(vstar[:, 1], vstar[:, 2])))
-    return {"vstar": vstar, "w_star": w_star, "sqm_star": sqm_star,
-            "omega": omega, "w_omega": w_omega,
-            "tag": (basis.n1, basis.nr, basis.vmax, n_phi_star,
-                    n_omega_theta, n_omega_phi, 2)}
+    w_star = np.repeat(basis.w / (2.0 * np.pi), PHI_STAR_NODES) \
+        * (2.0 * np.pi / PHI_STAR_NODES)
+    vrstar = np.hypot(vstar[:, 1], vstar[:, 2])
+    interp = _TensorInterp(basis)
+    return {"vstar": vstar, "w_star": w_star,
+            "sqm_star": np.sqrt(maxwellian(vstar[:, 0], vrstar)),
+            "omega": omega, "w_omega": w_omega, "interp": interp,
+            "ell_star": interp.matrix(vstar[:, 0], vrstar,
+                                      np.empty((len(vstar), basis.n)))}
 
 
-def _gamma_geometry(v, quad):
-    """Post-collision velocities and rate factors for one output node v.
+def _gamma_sweep(basis: VelocityBasis, quad):
+    """Chunks of the collision quadrature at every output node.
 
-    Returns flattened arrays over (v*, omega): weight, sqrt-Maxwellian
-    factors and the (v1, vr) coordinates of v' and v'*.
+    Yields (i, star, cw, Ap, As) for output node i and one chunk of its
+    (v*, omega) points: star is the v* index of each point, cw its weight
+    w |(v - v*).omega| sqrtM(v*), and Ap, As the rows interpolating node
+    values at the post-collision velocities v' = v - ((v - v*).omega) omega
+    and v'* = v* + ((v - v*).omega) omega.  Ap and As live in two buffers
+    that the next chunk overwrites.
     """
-    vstar, omega = quad["vstar"], quad["omega"]
-    rel = v[None, :] - vstar                              # (ns, 3)
-    proj = rel @ omega.T                                  # (ns, nom)
-    rate = np.abs(proj)
-    vp = v[None, None, :] - proj[:, :, None] * omega[None, :, :]
-    vps = vstar[:, None, :] + proj[:, :, None] * omega[None, :, :]
-    wq = (quad["w_star"][:, None] * quad["w_omega"][None, :] * rate).ravel()
-    sqm_s = np.broadcast_to(quad["sqm_star"][:, None], rate.shape).ravel()
-    vp = vp.reshape(-1, 3)
-    vps = vps.reshape(-1, 3)
-    return {
-        "wq": wq, "sqm_star": sqm_s,
-        "p1": vp[:, 0], "pr": np.hypot(vp[:, 1], vp[:, 2]),
-        "s1": vps[:, 0], "sr": np.hypot(vps[:, 1], vps[:, 2]),
-        "star_idx": np.repeat(
-            np.repeat(np.arange(len(vstar)), len(omega)), 1),
-    }
+    vstar, omega, interp = quad["vstar"], quad["omega"], quad["interp"]
+    star_of_q = np.repeat(np.arange(len(vstar)), len(omega))
+    nodes3 = np.stack([basis.v1, basis.vr, np.zeros(basis.n)], axis=1)
+    buf_p, buf_s = np.empty((2, min(GAMMA_CHUNK, len(star_of_q)), basis.n))
+    for i, v in enumerate(nodes3):
+        proj = (v[None, :] - vstar) @ omega.T                # (ns, nom)
+        vp = (v[None, None, :] - proj[:, :, None] * omega).reshape(-1, 3)
+        vps = (vstar[:, None, :] + proj[:, :, None] * omega).reshape(-1, 3)
+        cw = (quad["w_star"][:, None] * quad["w_omega"][None, :]
+              * np.abs(proj)).ravel() * quad["sqm_star"][star_of_q]
+        p1, pr = vp[:, 0], np.hypot(vp[:, 1], vp[:, 2])
+        s1, sr = vps[:, 0], np.hypot(vps[:, 1], vps[:, 2])
+        for q0 in range(0, len(cw), GAMMA_CHUNK):
+            sl = slice(q0, q0 + GAMMA_CHUNK)
+            m = len(cw[sl])
+            yield (i, star_of_q[sl], cw[sl],
+                   interp.matrix(p1[sl], pr[sl], buf_p[:m]),
+                   interp.matrix(s1[sl], sr[sl], buf_s[:m]))
 
 
 def _invariant_cleanup(basis: VelocityBasis, arr):
@@ -156,58 +170,46 @@ class GammaTensor:
     build_seconds: float = 0.0
 
 
-def build_gamma(basis: VelocityBasis, n_phi_star=16, n_omega_theta=12,
-                n_omega_phi=24, cache_dir=None, memory_cap=512 ** 3,
-                chunk=32768):
+def build_gamma(basis: VelocityBasis, cache_dir=None):
     """Dense node tensor of the bilinear collision operator (sector m=0).
 
     T[i, j, k] is the coefficient of node i in the operator applied to the
     (j, k) node pair, symmetrized in (j, k) and projected off the
-    invariants.  Cached to disk keyed by the grid/quadrature signature.
+    invariants.  With cache_dir, the tensor is stored there under its tag
+    (grid and quadrature sizes) and loaded when a file with the same tag
+    is found; a file with another tag or a damaged file is rebuilt.
+    Raises MemoryBudget when n^3 exceeds GAMMA_MEMORY_CAP.
     """
     n = basis.n
-    if n ** 3 > memory_cap:
+    if n ** 3 > GAMMA_MEMORY_CAP:
         raise MemoryBudget("gamma tensor would need %d entries (cap %d)"
-                           % (n ** 3, memory_cap))
-    quad = _gamma_quadrature(basis, n_phi_star, n_omega_theta, n_omega_phi)
-    key = hashlib.sha256(json.dumps(quad["tag"]).encode()).hexdigest()[:16]
-    path = os.path.join(cache_dir, "gamma_%s.npy" % key) if cache_dir else None
-    if path and os.path.exists(path):
-        T = _load_gamma(path, n)
+                           % (n ** 3, GAMMA_MEMORY_CAP))
+    # the last entry is the rule version: change it with the quadrature
+    tag = (basis.n1, basis.nr, basis.vmax, PHI_STAR_NODES,
+           OMEGA_THETA_NODES, OMEGA_PHI_NODES, 2)
+    path = cache_path(cache_dir, "gamma", tag) if cache_dir else None
+    if path:
+        T = load_array(path, tag, (n, n, n))
         if T is not None:
-            return GammaTensor(T, quad["tag"])
+            return GammaTensor(T, tag)
 
     t_start = time.time()
-    interp = _TensorInterp(basis)
-    nodes3 = np.stack([basis.v1, basis.vr, np.zeros(n)], axis=1)
-    nom = len(quad["omega"])
-    star_of_q = np.repeat(np.arange(len(quad["vstar"])), nom)
+    quad = _gamma_quadrature(basis)
     # All square-root-Maxwellian factors reduce in closed form: with
     # F = sqrtM f, G = sqrtM g the gain products carry
     # sqrtM(v') sqrtM(v'*) / sqrtM(v) = sqrtM(v*) by energy conservation
     # (detailed balance), and the loss terms carry the same sqrtM(v*).
     # Only f and g themselves are interpolated, which keeps the tensor
     # entries O(1) and the apply path well conditioned.
-    ell_star = interp.matrix(quad["vstar"][:, 0],
-                             np.hypot(quad["vstar"][:, 1],
-                                      quad["vstar"][:, 2]))
     T = np.zeros((n, n, n))
+    loss = np.zeros((n, n))
+    for i, star, cw, Ap, As in _gamma_sweep(basis, quad):
+        T[i] += (As * cw[:, None]).T @ Ap
+        loss[i] += cw @ quad["ell_star"][star]
     for i in range(n):
-        geo = _gamma_geometry(nodes3[i], quad)
-        wq = geo["wq"]
-        nq = len(wq)
-        gain = np.zeros((n, n))
-        loss_vec = np.zeros(n)
-        cw_all = wq * quad["sqm_star"][star_of_q]
-        for q0 in range(0, nq, chunk):
-            sl = slice(q0, min(q0 + chunk, nq))
-            Ap = interp.matrix(geo["p1"][sl], geo["pr"][sl])
-            As = interp.matrix(geo["s1"][sl], geo["sr"][sl])
-            gain += (As * cw_all[sl, None]).T @ Ap
-            loss_vec += cw_all[sl] @ ell_star[star_of_q[sl]]
-        T[i] = 0.5 * (gain + gain.T)
-        T[i, :, i] -= 0.5 * loss_vec
-        T[i, i, :] -= 0.5 * loss_vec
+        T[i] = 0.5 * (T[i] + T[i].T)
+        T[i, :, i] -= 0.5 * loss[i]
+        T[i, i, :] -= 0.5 * loss[i]
     T = _invariant_cleanup(basis, T)
     # The Maxwellian pair annihilates the continuum operator; the residual
     # quadrature defect in that single input direction is removed by a
@@ -219,19 +221,8 @@ def build_gamma(basis: VelocityBasis, n_phi_star=16, n_omega_theta=12,
     T -= np.einsum("i,j,k->ijk", r, ew, ew)
     built = time.time() - t_start
     if path:
-        write_atomic(path, lambda fh: np.save(fh, T))
-    return GammaTensor(T, quad["tag"], built)
-
-
-def _load_gamma(path, n):
-    """Cached tensor, or None when the file is unreadable or not (n, n, n) float64."""
-    try:
-        T = np.load(path)
-    except (OSError, ValueError, EOFError):
-        return None
-    if T.dtype != np.float64 or T.shape != (n, n, n):
-        return None
-    return T
+        store_array(path, tag, T)
+    return GammaTensor(T, tag, built)
 
 
 def _apply_gamma_raw(T, f2, g2):
@@ -261,49 +252,31 @@ def apply_gamma(gamma: GammaTensor, f, g):
     return out.reshape(shape)
 
 
-def gamma_direct(basis: VelocityBasis, f, g, n_phi_star=16, n_omega_theta=12,
-                 n_omega_phi=24, chunk=32768):
+def gamma_direct(basis: VelocityBasis, f, g):
     """Direct quadrature of the bilinear operator, bypassing the tensor.
 
-    Independent evaluation path: interpolates the node profiles at the
-    post-collision points, sums the quadrature with the closed-form
-    sqrt-Maxwellian factor, removes the invariant components, and applies
-    the same equilibrium-direction defect correction as the tensor build.
-    Accepts stacked pairs (m, n) and evaluates them in one sweep.
+    Independent evaluation path over the same quadrature sweep as
+    build_gamma: interpolates the node profiles at the post-collision
+    points, sums the quadrature with the closed-form sqrt-Maxwellian
+    factor, removes the invariant components, and applies the same
+    equilibrium-direction defect correction as the tensor build.  Accepts
+    stacked pairs (m, n) and evaluates them in one sweep.
     """
-    quad = _gamma_quadrature(basis, n_phi_star, n_omega_theta, n_omega_phi)
-    interp = _TensorInterp(basis)
-    f2 = np.atleast_2d(np.asarray(f, dtype=float))
-    g2 = np.atleast_2d(np.asarray(g, dtype=float))
+    quad = _gamma_quadrature(basis)
     single = np.asarray(f).ndim == 1
     # append the equilibrium pair to measure the quadrature defect
     e = basis.invariants[0]
-    P = np.concatenate([f2, e[None, :]], axis=0).T       # (n, m+1)
-    Q = np.concatenate([g2, e[None, :]], axis=0).T
-    nodes3 = np.stack([basis.v1, basis.vr, np.zeros(basis.n)], axis=1)
-    ell_star = interp.matrix(quad["vstar"][:, 0],
-                             np.hypot(quad["vstar"][:, 1], quad["vstar"][:, 2]))
-    P_star = ell_star @ P                                # (ns, m+1)
-    Q_star = ell_star @ Q
-    nom = len(quad["omega"])
-    star_of_q = np.repeat(np.arange(len(quad["vstar"])), nom)
-    out = np.zeros((basis.n, P.shape[1]))
-    for i in range(basis.n):
-        geo = _gamma_geometry(nodes3[i], quad)
-        wq = geo["wq"]
-        acc = np.zeros(P.shape[1])
-        nq = len(wq)
-        for q0 in range(0, nq, chunk):
-            sl = slice(q0, min(q0 + chunk, nq))
-            sq = star_of_q[sl]
-            Ap = interp.matrix(geo["p1"][sl], geo["pr"][sl])
-            As = interp.matrix(geo["s1"][sl], geo["sr"][sl])
-            bracket = ((As @ P) * (Ap @ Q) + (Ap @ P) * (As @ Q)
-                       - P_star[sq] * Q[i][None, :]
-                       - P[i][None, :] * Q_star[sq])
-            acc += (wq[sl] * quad["sqm_star"][sq]) @ bracket
-        out[i] = 0.5 * acc
-    out = _invariant_cleanup(basis, out)
+    P = np.vstack([np.atleast_2d(f), e]).T               # (n, m+1)
+    Q = np.vstack([np.atleast_2d(g), e]).T
+    P_star = quad["ell_star"] @ P                        # (ns, m+1)
+    Q_star = quad["ell_star"] @ Q
+    acc = np.zeros((basis.n, P.shape[1]))
+    for i, star, cw, Ap, As in _gamma_sweep(basis, quad):
+        bracket = ((As @ P) * (Ap @ Q) + (Ap @ P) * (As @ Q)
+                   - P_star[star] * Q[i][None, :]
+                   - P[i][None, :] * Q_star[star])
+        acc[i] += cw @ bracket
+    out = _invariant_cleanup(basis, 0.5 * acc)
     ew = e * basis.w
     defect = out[:, -1]
     cf = ew @ P[:, :-1]
@@ -395,14 +368,13 @@ class NonlinearStepper:
 
     def __init__(self, op: CollisionOperator, grid: SpaceGrid, dt,
                  gamma: GammaTensor = None, field_terms=True,
-                 nonlinear_poisson=True, cfl=0.9):
+                 nonlinear_poisson=True):
         self.op = op
         self.grid = grid
         self.dt = float(dt)
         self.gamma = gamma
         self.field_terms = field_terms
         self.nonlinear_poisson = nonlinear_poisson
-        self.cfl = float(cfl)
         b = op.basis
         self.b = b
         self.Dv1 = _v1_derivative_matrix(b)
@@ -446,10 +418,10 @@ class NonlinearStepper:
             dphi_nl = g.derivative(phi - solve_field(g, n_x))
             rhs += dphi_nl[:, None] * self.v1chi0[None, :]
             cfl_speed = np.abs(dphi).max()
-            if self.dt * cfl_speed > self.cfl * self._dv_min:
+            if self.dt * cfl_speed > CFL * self._dv_min:
                 raise CFLViolation(
                     "field advection dt*|dphi|=%.2e exceeds %.2e"
-                    % (self.dt * cfl_speed, self.cfl * self._dv_min))
+                    % (self.dt * cfl_speed, CFL * self._dv_min))
         if self.gamma is not None:
             rhs += apply_gamma(self.gamma, f_x, f_x)
         return g.to_coefficients(rhs, axis=0), phi
@@ -484,12 +456,11 @@ def diffusive_profile(t, x, k=0.5):
 
 
 def initial_state(op: CollisionOperator, grid: SpaceGrid, delta0=1e-3,
-                  gamma0=1.0, seed=None, nonlinear_poisson=True):
-    """Localized small initial datum delta0 (1+x^2)^{-gamma0} seed(v)."""
+                  gamma0=1.0, nonlinear_poisson=True):
+    """Localized small initial datum delta0 (1+x^2)^{-gamma0} chi0(v)."""
     b = op.basis
-    seed = b.invariants[0] if seed is None else np.asarray(seed, dtype=float)
     bump = delta0 * (1.0 + grid.x ** 2) ** (-gamma0)
-    f_x = np.outer(bump, seed)
+    f_x = np.outer(bump, b.invariants[0])
     coef = grid.to_coefficients(f_x, axis=0)
     n_x = f_x @ (b.invariants[0] * b.w)
     phi = poisson_newton(grid, n_x) if nonlinear_poisson else \
@@ -529,10 +500,16 @@ def state_diagnostics(stepper: NonlinearStepper, state: KineticState):
     }
 
 
+#: steps between two diagnostic samples of decay_study
+DECAY_SAMPLE_EVERY = 10
+
+
 def decay_study(op: CollisionOperator, grid: SpaceGrid, gamma: GammaTensor,
-                t_end=60.0, dt=0.1, delta0=1e-3, gamma0=1.0,
-                sample_every=10, progress=None):
+                t_end=60.0, dt=0.1, delta0=1e-3, gamma0=1.0, progress=None):
     """Integrate the full system and collect the pointwise-decay report.
+
+    Diagnostics are sampled every DECAY_SAMPLE_EVERY steps and at t_end;
+    progress, if given, is called with each sampled row.
 
     Returns a dict with the diagnostic time series and fitted exponents of
     the weighted velocity sup norm and of the field gradients over
@@ -545,7 +522,7 @@ def decay_study(op: CollisionOperator, grid: SpaceGrid, gamma: GammaTensor,
     nsteps = int(round(t_end / dt))
     for k in range(1, nsteps + 1):
         state = stepper.step(state)
-        if k % sample_every == 0 or k == nsteps:
+        if k % DECAY_SAMPLE_EVERY == 0 or k == nsteps:
             rows.append(state_diagnostics(stepper, state))
             if progress:
                 progress(rows[-1])

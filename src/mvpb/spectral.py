@@ -46,6 +46,11 @@ from .velocity import VelocityBasis
 
 SOUND_SPEED = np.sqrt(8.0 / 3.0)
 SQRT2 = np.sqrt(2.0)
+#: smallest eigenvector overlap accepted as the same branch between steps
+BRANCH_OVERLAP_MIN = 0.9
+#: the branch fit uses eta up to this fraction of the continued range
+#: (and at least the first five frequencies)
+BRANCH_FIT_FRACTION = 0.25
 
 
 # ---------------------------------------------------------------------- #
@@ -240,14 +245,13 @@ def _normalize_bilinear(basis, psi, eta):
     return psi
 
 
-def eigen_branches(op: CollisionOperator, eta_max=0.5, steps=33, mu_hat=None,
-                   overlap_min=0.9):
+def eigen_branches(op: CollisionOperator, eta_max=0.5, steps=33, mu_hat=None):
     """Continue the fluid branches on a uniform grid up to eta_max."""
     return eigen_branches_at(op, np.linspace(0.0, eta_max, steps),
-                             mu_hat=mu_hat, overlap_min=overlap_min)
+                             mu_hat=mu_hat)
 
 
-def eigen_branches_at(op: CollisionOperator, etas, mu_hat=None, overlap_min=0.9):
+def eigen_branches_at(op: CollisionOperator, etas, mu_hat=None):
     """Continue the fluid eigenvalue branches of one sector from eta = 0.
 
     Eigenvalues with real part above -mu_hat/2 are classified as fluid;
@@ -295,7 +299,8 @@ def eigen_branches_at(op: CollisionOperator, etas, mu_hat=None, overlap_min=0.9)
         ov /= (np.linalg.norm(np.sqrt(b.w)[None, :] * prev, axis=1)[:, None]
                * np.linalg.norm(np.sqrt(b.w)[:, None] * Vf, axis=0)[None, :])
         assign = np.argmax(ov, axis=1)
-        if len(set(assign.tolist())) != nb or np.any(ov[np.arange(nb), assign] < overlap_min):
+        if (len(set(assign.tolist())) != nb
+                or np.any(ov[np.arange(nb), assign] < BRANCH_OVERLAP_MIN)):
             raise BranchSwap(
                 f"sector {b.sector}: ambiguous branch match at eta={eta:.4f} "
                 f"(overlaps {ov[np.arange(nb), assign]})")
@@ -310,9 +315,10 @@ def eigen_branches_at(op: CollisionOperator, etas, mu_hat=None, overlap_min=0.9)
     return bs
 
 
-def _fit_branches(bs: BranchSet, frac=0.25):
+def _fit_branches(bs: BranchSet):
     """Fit lam(eta) = -i beta eta - a eta^2 (+ higher) on the low range."""
-    sel = bs.etas <= max(bs.etas[-1] * frac, bs.etas[min(4, len(bs.etas) - 1)])
+    sel = bs.etas <= max(bs.etas[-1] * BRANCH_FIT_FRACTION,
+                         bs.etas[min(4, len(bs.etas) - 1)])
     x = bs.etas[sel]
     nb = bs.lam.shape[0]
     beta = np.zeros(nb)
@@ -587,28 +593,29 @@ def semigroup_split(op: CollisionOperator, eta, ts, r0_hat, mu_hat=None):
         Vi = to_real_form(np.linalg.inv(Vr), perm, axis=1)
     ts = np.asarray(ts, dtype=float)
     chol = np.linalg.cholesky(b.eta_metric(eta))
-    S = np.empty((len(ts), b.n, b.n), dtype=complex)
-    if Vi is not None:
+
+    def spectral_sum(sel):
+        """(V[:, sel] e^{w[sel] t}) Vi[sel] for every t in ts."""
+        out = np.empty((len(ts), b.n, b.n), dtype=complex)
         for i, t in enumerate(ts):
-            S[i] = (V * np.exp(w * t)[None, :]) @ Vi
+            out[i] = (V[:, sel] * np.exp(w[sel] * t)[None, :]) @ Vi[sel, :]
+        return out
+
+    if Vi is not None:
+        S = spectral_sum(slice(None))
     else:
         # exp(t B) = U exp(t B_r) U*, applied to the identity
-        S[:] = from_real_form(
+        S = from_real_form(
             propagate(Br, to_real_form(np.eye(b.n), perm), ts), perm, axis=1)
-    S1 = np.zeros_like(S)
     if abs(eta) <= r0_hat and Vi is not None:
         fluid = w.real > -mu_hat / 2.0
-        for i, t in enumerate(ts):
-            sel = np.where(fluid)[0]
-            S1[i] = (V[:, sel] * np.exp(w[sel] * t)[None, :]) @ Vi[sel, :]
+        S1 = spectral_sum(fluid)
         # assemble the remainder from the non-fluid spectral sum directly so
         # its norm stays meaningful far below the S - S1 cancellation floor
-        sel = np.where(~fluid)[0]
-        S2 = np.empty_like(S)
-        for i, t in enumerate(ts):
-            S2[i] = (V[:, sel] * np.exp(w[sel] * t)[None, :]) @ Vi[sel, :]
+        S2 = spectral_sum(~fluid)
     else:
-        S2 = S - S1
+        S1 = np.zeros_like(S)
+        S2 = S.copy()
     return {
         "ts": ts, "S": S, "S1": S1, "S2": S2,
         "norm_S": np.array([eta_operator_norm(b, s, eta, chol) for s in S]),

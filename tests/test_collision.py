@@ -1,11 +1,13 @@
 """Collision-operator contracts: frequency asymptotics, weighted symmetry,
 null space, coercivity, deflated inverse, and transport coefficients."""
 
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
+from mvpb import collision
 from mvpb.collision import (CollisionOperator, collision_frequency, nu_floor,
                             quadratic_form, transport_coefficients)
 from mvpb.errors import IllConditioned
@@ -172,6 +174,41 @@ def test_kernel_cache_roundtrip(tmp_path):
     op1 = CollisionOperator(b, cache_dir=str(tmp_path))
     op2 = CollisionOperator(b, cache_dir=str(tmp_path))
     assert np.array_equal(op1.kernel, op2.kernel)
+
+
+def test_kernel_cache_file_layout_loads(tmp_path, monkeypatch):
+    # a kernel file laid out as magic | u32 header length | JSON header |
+    # float64 payload, under the hash of its header, loads without assembly
+    header = (b'{"fmt": 2, "n1": 4, "nphi": 128, "nr": 2, "sector": 0, '
+              b'"vmax": 8.0}')
+    km = np.arange(64.0).reshape(8, 8)
+    name = "kernel_%s.bin" % hashlib.sha256(header).hexdigest()[:24]
+    with open(os.path.join(tmp_path, name), "wb") as fh:
+        fh.write(b"MVPBKRN1" + np.uint32(len(header)).tobytes() + header
+                 + km.tobytes())
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("kernel reassembled")
+
+    monkeypatch.setattr(collision, "reduced_kernel", no_assembly)
+    op = CollisionOperator(VelocityBasis(4, 2, 8.0, 0),
+                           cache_dir=str(tmp_path))
+    assert np.array_equal(op.kernel, km)
+
+
+@pytest.mark.parametrize("keep", [10, 40, 200])
+def test_kernel_cache_truncated_file_rebuilt(tmp_path, keep):
+    # cut inside the header length, the JSON header and the payload
+    b = VelocityBasis(4, 2, 8.0, 0)
+    first = CollisionOperator(b, cache_dir=str(tmp_path))
+    (path,) = [os.path.join(tmp_path, f) for f in os.listdir(tmp_path)]
+    with open(path, "rb") as fh:
+        head = fh.read(keep)
+    with open(path, "wb") as fh:
+        fh.write(head)
+    again = CollisionOperator(b, cache_dir=str(tmp_path))
+    assert np.array_equal(again.kernel, first.kernel)
+    assert os.path.getsize(path) > 200
 
 
 def test_solve_micro_raises_on_bad_tolerance(ops16):

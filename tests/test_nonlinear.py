@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvpb import nonlinear, spectral
+from mvpb import collision, nonlinear, spectral
 from mvpb.errors import NoConvergence
 from mvpb.green import SpaceGrid
 from mvpb.nonlinear import (GammaTensor, KineticState, NonlinearStepper,
                             apply_gamma, build_gamma, diffusive_profile,
-                            field_time_derivative, initial_state,
-                            poisson_newton, state_diagnostics)
+                            field_time_derivative, gamma_direct,
+                            initial_state, poisson_newton,
+                            state_diagnostics)
 from mvpb.velocity import VelocityBasis
 
 
@@ -210,16 +211,19 @@ def test_state_diagnostics_finite(ops16, grid, gamma16):
 # --------------------------------------------------------------------- #
 
 def _tiny_gamma(cache_dir):
-    return build_gamma(VelocityBasis(4, 2, 8.0, 0), n_phi_star=4,
-                       n_omega_theta=4, n_omega_phi=4, cache_dir=str(cache_dir))
+    return build_gamma(VelocityBasis(4, 2, 8.0, 0), cache_dir=str(cache_dir))
 
 
 def test_gamma_cache_write_failure_leaves_no_file(tmp_path, monkeypatch):
-    def half_written(fh, arr):
-        fh.write(b"\x93NUMPY partial")
-        raise OSError("disk full")
+    write_atomic = collision.write_atomic
 
-    monkeypatch.setattr(np, "save", half_written)
+    def disk_full_before_rename(path, write):
+        def half_written(fh):
+            write(fh)
+            raise OSError("disk full")
+        write_atomic(path, half_written)
+
+    monkeypatch.setattr(collision, "write_atomic", disk_full_before_rename)
     with pytest.raises(OSError):
         _tiny_gamma(tmp_path)
     assert os.listdir(tmp_path) == []
@@ -230,9 +234,11 @@ def test_gamma_cache_damaged_file_rebuilt(tmp_path, damage):
     first = _tiny_gamma(tmp_path)
     (path,) = [os.path.join(tmp_path, f) for f in os.listdir(tmp_path)]
     if damage == "wrong_shape":
-        np.save(path, np.zeros((2, 2)))
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros((2, 2)))
     elif damage == "wrong_dtype":
-        np.save(path, first.tensor.astype(np.float32))
+        with open(path, "wb") as fh:
+            np.save(fh, first.tensor.astype(np.float32))
     else:
         with open(path, "rb") as fh:
             head = fh.read(200)
@@ -243,3 +249,29 @@ def test_gamma_cache_damaged_file_rebuilt(tmp_path, damage):
     assert np.array_equal(again.tensor, first.tensor)
     # the rebuild replaced the damaged file with a loadable one
     assert np.array_equal(_tiny_gamma(tmp_path).tensor, first.tensor)
+
+
+def test_gamma_cache_other_tag_rebuilt(tmp_path):
+    # a well-formed file at the cache path whose header names another
+    # quadrature is not this tensor
+    first = _tiny_gamma(tmp_path)
+    (path,) = [os.path.join(tmp_path, f) for f in os.listdir(tmp_path)]
+    other = list(first.tag)
+    other[-1] += 1
+    collision.store_array(path, other, np.ones_like(first.tensor))
+    again = _tiny_gamma(tmp_path)
+    assert again.build_seconds > 0
+    assert np.array_equal(again.tensor, first.tensor)
+    assert np.array_equal(_tiny_gamma(tmp_path).tensor, first.tensor)
+
+
+def test_gamma_tensor_matches_direct_quadrature(tmp_path):
+    # the tensor assembly against the direct sum over the same sweep
+    b = VelocityBasis(4, 2, 8.0, 0)
+    gamma = _tiny_gamma(tmp_path)
+    rng = np.random.default_rng(6)
+    fs = rng.standard_normal((3, b.n))
+    gs = rng.standard_normal((3, b.n))
+    direct = gamma_direct(b, fs, gs)
+    tens = apply_gamma(gamma, fs, gs)
+    assert np.abs(tens - direct).max() <= 1e-10 * np.abs(direct).max()
