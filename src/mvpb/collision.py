@@ -41,12 +41,16 @@ def write_atomic(path, write):
 
     write(fh) fills the open binary file.  If it raises, the temp file is
     removed, so path holds either its old content or a complete new file.
+    The file gets open()'s mode 0o666 & ~umask, not mkstemp's 0o600.
     """
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=".tmp-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
             write(fh)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

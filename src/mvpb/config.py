@@ -93,7 +93,7 @@ def apply_overrides(cfg: RunConfig, overrides):
             raise ConfigError(f"unknown configuration key: {key!r}")
         parser, _, check, doc = SCHEMA[key]
         try:
-            val = parser(raw) if isinstance(raw, str) else parser(raw)
+            val = parser(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})")
         if not check(val):

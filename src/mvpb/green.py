@@ -87,38 +87,39 @@ class SpaceGrid:
 # ---------------------------------------------------------------------- #
 
 def green_action(op: CollisionOperator, grid: SpaceGrid, seeds, ts,
-                 scale_delta=True):
-    """Frequency coefficients of G(t) applied to seed profiles.
+                 datum=None):
+    """Frequency coefficients of G(t) applied to datum(x) * seed(v).
 
-    Returns complex array (n_seeds, n_times, grid.nh, n).  Each frequency
-    is one call of propagate on the real form B_r(eta): exp(h B_r) once on
-    the lattice of the sample times, then real mat-vecs on the seeds mapped
-    by U* and back by U.
+    datum: (nh,) coefficients of the profile, by default the point source.
+    Returns complex array (n_seeds, n_times, grid.nh, n).  Each mode with
+    |datum| > 1e-14 max is one call of propagate on the real form B_r(eta)
+    (seeds mapped by U* and back by U); the other modes stay zero.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=complex))
     ts = np.asarray(ts, dtype=float)
     ns, n = seeds.shape
     perm = op.basis.reflection
-    amp = 1.0 / (2.0 * grid.L) if scale_delta else 1.0
+    datum = grid.delta_coefficients() if datum is None else datum
+    active = np.abs(datum) > 1e-14 * np.abs(datum).max()
     Z = to_real_form(seeds.T, perm)
-    out = np.empty((ns, len(ts), grid.nh, n), dtype=complex)
-    for k, eta in enumerate(grid.eta):
-        Y = propagate(real_form(mode_matrix(op, eta), perm), Z, ts)
+    out = np.zeros((ns, len(ts), grid.nh, n), dtype=complex)
+    for k in np.flatnonzero(active):
+        Y = propagate(real_form(mode_matrix(op, grid.eta[k]), perm), Z, ts)
         Y = from_real_form(Y, perm, axis=1)                 # (nt, n, ns)
-        out[:, :, k, :] = Y.transpose(2, 0, 1) * amp
+        out[:, :, k, :] = Y.transpose(2, 0, 1) * datum[k]
     return out
 
 
 def synthesize_green(op: CollisionOperator, grid: SpaceGrid, seeds, ts,
-                     r0_hat, scale_delta=True):
+                     r0_hat, datum=None):
     """Green's-function coefficients with low/high frequency split.
 
-    Returns a dict with the full coefficient field ``coef`` of shape
-    (n_seeds, n_times, nh, n) and the masked split fields ``low``
-    (|eta| < r0_hat / 2) and ``high`` (the complement).  Warns when the
-    Nyquist mode carries more than 1e-6 of the total spectral energy.
+    Returns a dict with the full coefficient field ``coef`` of green_action
+    and the masked split fields ``low`` (|eta| < r0_hat / 2) and ``high``
+    (the complement).  Warns when the Nyquist mode carries more than 1e-6
+    of the total spectral energy.
     """
-    coef = green_action(op, grid, seeds, ts, scale_delta=scale_delta)
+    coef = green_action(op, grid, seeds, ts, datum)
     w = op.basis.w
     ts = np.asarray(ts, dtype=float)
     # t = 0 is the band-limited delta itself (flat in eta by construction),
@@ -156,7 +157,6 @@ class FluidPart:
         self.mode_idx = np.where(sel)[0]
         etas = grid.eta[self.mode_idx]
         bs = eigen_branches_at(op, etas, mu_hat=mu_hat)
-        self.branches = bs
         self.lam = bs.lam                       # (nb, nm)
         nb, nm = self.lam.shape
         self.psi = bs.psi                       # (nb, nm, n)

@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import green
 from .collision import CollisionOperator
 from .errors import CFLViolation, Instability
 from .green import SpaceGrid
-from .spectral import (from_real_form, mode_matrix, propagate, real_form,
-                       to_real_form)
+# not called here: perfbench/tracer.py wraps mvpb.moments.mode_matrix
+from .spectral import mode_matrix  # noqa: F401
 from .velocity import VelocityBasis
 
 ROOT23 = np.sqrt(2.0 / 3.0)
@@ -191,25 +192,14 @@ def kinetic_moment_trajectory(op: CollisionOperator, grid: SpaceGrid,
                               profile, ts):
     """Exact linear kinetic moments for initial data profile(x) * chi0(v).
 
-    Propagates each active frequency with one call of propagate on the real
-    form B_r (exp(h B_r) once on the lattice of the sample times, then real
-    mat-vecs) and returns MomentState snapshots (sector 0 only).
+    MomentState snapshots (sector 0 only) of green.green_action on the
+    datum, called through the module, where perfbench/tracer.py wraps it.
     """
     b = op.basis
-    perm = b.reflection
-    ts = np.asarray(ts, dtype=float)
     phat = grid.to_coefficients(np.asarray(profile, dtype=float))
-    active = np.where(np.abs(phat) > 1e-14 * np.abs(phat).max())[0]
-    z = to_real_form(b.invariants[0], perm)
-    coef = np.zeros((len(ts), grid.nh, b.n), dtype=complex)
-    for k in active:
-        Br = real_form(mode_matrix(op, grid.eta[k]), perm)
-        coef[:, k, :] = from_real_form(propagate(Br, z, ts), perm, axis=1) * phat[k]
-    states = []
-    for it in range(len(ts)):
-        f = grid.to_physical(coef[it], axis=0)
-        states.append(extract_moments(b, grid, f))
-    return states
+    coef = green.green_action(op, grid, b.invariants[0], ts, phat)[0]
+    return [extract_moments(b, grid, grid.to_physical(c, axis=0))
+            for c in coef]
 
 
 # ---------------------------------------------------------------------- #
@@ -241,7 +231,7 @@ def apply_v1_derivative(basis: VelocityBasis, f_field, order=1):
     shape = f_field.shape
     f = np.asarray(f_field).reshape(-1, basis.n1, basis.nr)
     for _ in range(order):
-        f = np.einsum("ij,xjr->xir", D1, f)
+        f = D1 @ f
     return f.reshape(shape)
 
 

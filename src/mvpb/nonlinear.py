@@ -20,8 +20,8 @@ from numpy.polynomial.legendre import leggauss
 from .collision import CollisionOperator, cache_path, load_array, store_array
 from .errors import CFLViolation, Instability, MemoryBudget, NoConvergence
 from .green import SpaceGrid, linear_log_fit
-from .moments import CFL, _v1_derivative_matrix, solve_field
-from .spectral import mode_matrix
+from .moments import CFL, apply_v1_derivative, solve_field
+from .spectral import from_real_form, mode_matrix, real_form, to_real_form
 from .velocity import VelocityBasis, maxwellian
 
 
@@ -289,7 +289,12 @@ def gamma_direct(basis: VelocityBasis, f, g):
 # nonlinear field solve
 # ---------------------------------------------------------------------- #
 
-def poisson_newton(grid: SpaceGrid, n, tol=1e-12, maxit=25):
+#: poisson_newton residual tolerance, step limit and sweeps per step; a step
+#: that stops at the sweep cap is inexact and the next step corrects it
+NEWTON_TOL, NEWTON_MAXIT, NEWTON_SWEEPS = 1e-12, 25, 60
+
+
+def poisson_newton(grid: SpaceGrid, n):
     """Field from the nonlinear relation with Boltzmann-distributed charge.
 
     Solves (I - d_xx) phi - (exp(-phi) + phi - 1) = -n by Newton iteration;
@@ -307,24 +312,24 @@ def poisson_newton(grid: SpaceGrid, n, tol=1e-12, maxit=25):
         lap = grid.to_physical(grid.to_coefficients(p) * sym)
         return lap - (np.exp(-p) + p - 1.0) + n
 
-    for _ in range(maxit):
+    for _ in range(NEWTON_MAXIT):
         r = residual(phi)
-        if np.abs(r).max() <= tol:
+        if np.abs(r).max() <= NEWTON_TOL:
             return phi
         a = np.exp(-phi) - 1.0          # pointwise Jacobian correction
         d = np.zeros_like(phi)
-        for _inner in range(60):
+        for _inner in range(NEWTON_SWEEPS):
             d_new = solve_field(grid, r + a * d)
-            if np.abs(d_new - d).max() < 0.01 * tol:
+            if np.abs(d_new - d).max() < 0.01 * NEWTON_TOL:
                 d = d_new
                 break
             d = d_new
         phi = phi + d
     r = residual(phi)
-    if np.abs(r).max() <= tol:
+    if np.abs(r).max() <= NEWTON_TOL:
         return phi
     raise NoConvergence("field residual %.2e after %d Newton steps"
-                        % (np.abs(r).max(), maxit))
+                        % (np.abs(r).max(), NEWTON_MAXIT))
 
 
 def field_time_derivative(grid: SpaceGrid, phi, dn_dt):
@@ -377,16 +382,14 @@ class NonlinearStepper:
         self.nonlinear_poisson = nonlinear_poisson
         b = op.basis
         self.b = b
-        self.Dv1 = _v1_derivative_matrix(b)
-        self.Dv1_full = np.kron(self.Dv1, np.eye(b.nr))
-        self.chi0 = b.invariants[0]
-        self.mass_w = self.chi0 * b.w
-        self.v1chi0 = b.v1 * self.chi0
+        self.mass_w = b.invariants[0] * b.w
+        self.v1chi0 = b.v1 * b.invariants[0]
         self._dv_min = np.min(np.diff(np.unique(np.round(b.v1, 12))))
-        self.props = np.empty((grid.nh, b.n, b.n), dtype=complex)
+        # exp(B dt/2) = U exp(B_r dt/2) U*: real half-step propagators
+        self.props = np.empty((grid.nh, b.n, b.n))
         for k, eta in enumerate(grid.eta):
             self.props[k] = scipy.linalg.expm(
-                mode_matrix(op, eta) * (self.dt / 2.0))
+                real_form(mode_matrix(op, eta), b.reflection) * (self.dt / 2.0))
 
     # -------------------------------------------------------------- #
 
@@ -399,7 +402,10 @@ class NonlinearStepper:
         return solve_field(self.grid, n_x)
 
     def _half_linear(self, coef):
-        return np.einsum("kij,kj->ki", self.props, coef)
+        perm = self.b.reflection
+        z = to_real_form(coef, perm, axis=1)
+        y = self.props @ np.stack([z.real, z.imag], axis=-1)
+        return from_real_form(y[..., 0] + 1j * y[..., 1], perm, axis=1)
 
     def _quadratic_rhs(self, coef):
         """Explicit sources in physical space; returns coefficient rhs."""
@@ -412,7 +418,7 @@ class NonlinearStepper:
         rhs = np.zeros_like(f_x)
         if self.field_terms:
             rhs += 0.5 * dphi[:, None] * (self.b.v1[None, :] * f_x)
-            rhs -= dphi[:, None] * (f_x @ self.Dv1_full.T)
+            rhs -= dphi[:, None] * apply_v1_derivative(self.b, f_x)
             # beyond-linear part of the field source (the linear response
             # is inside the propagator)
             dphi_nl = g.derivative(phi - solve_field(g, n_x))
@@ -424,14 +430,14 @@ class NonlinearStepper:
                     % (self.dt * cfl_speed, CFL * self._dv_min))
         if self.gamma is not None:
             rhs += apply_gamma(self.gamma, f_x, f_x)
-        return g.to_coefficients(rhs, axis=0), phi
+        return g.to_coefficients(rhs, axis=0)
 
     def step(self, state: KineticState):
         coef = self._half_linear(state.coef)
         if self.field_terms or self.gamma is not None:
-            r1, _ = self._quadratic_rhs(coef)
+            r1 = self._quadratic_rhs(coef)
             mid = coef + 0.5 * self.dt * r1
-            r2, _ = self._quadratic_rhs(mid)
+            r2 = self._quadratic_rhs(mid)
             coef = coef + self.dt * r2
         coef = self._half_linear(coef)
         n_x = self.density(coef)
@@ -476,7 +482,7 @@ def state_diagnostics(stepper: NonlinearStepper, state: KineticState):
     w3 = (1.0 + b.v1 ** 2 + b.vr ** 2) ** 1.5
     w2 = 1.0 + b.v1 ** 2 + b.vr ** 2
     sup_f = np.abs(f_x * w3[None, :]).max(axis=1)          # L^inf_{v,3}
-    dvf = f_x @ stepper.Dv1_full.T
+    dvf = apply_v1_derivative(b, f_x)
     sup_dvf = np.abs(dvf * w2[None, :]).max(axis=1)        # L^inf_{v,2}
     phi = state.phi
     dphi = g.derivative(phi)

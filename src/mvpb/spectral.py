@@ -13,10 +13,10 @@ permutation of the symmetric velocity nodes; it commutes with L,
 anticommutes with v1, and leaves the mass profile chi0 even.  Hence
 conj(B) = P B P, and with the unitary U = (I - iP)/sqrt(2) the matrix
 B_r = U* B U is real.  Every dense per-eta kernel here (the branch
-eigensolves, the spectral-gap and zero-mode scans, the semigroup split)
-and the propagator in the Green's-function and moment code run on B_r in
-real arithmetic; eigenvectors and propagated vectors map back through U
-at O(n) cost per vector.  This module provides
+eigensolves, the spectral-gap and zero-mode scans, the semigroup split),
+green.green_action and the half steps of the nonlinear stepper run on B_r
+in real arithmetic; eigenvectors and propagated vectors map back through
+U at O(n) cost per vector.  This module provides
 
 * dense assembly of B(eta) and its real form B_r;
 * the propagator exp(t B(eta)) X at a set of sample times, from one
@@ -44,7 +44,6 @@ from .collision import CollisionOperator
 from .errors import BranchSwap, IllConditioned, NoConvergence
 from .velocity import VelocityBasis
 
-SOUND_SPEED = np.sqrt(8.0 / 3.0)
 SQRT2 = np.sqrt(2.0)
 #: smallest eigenvector overlap accepted as the same branch between steps
 BRANCH_OVERLAP_MIN = 0.9

@@ -3,6 +3,7 @@ null space, coercivity, deflated inverse, and transport coefficients."""
 
 import hashlib
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mvpb import collision
 from mvpb.collision import (CollisionOperator, collision_frequency, nu_floor,
                             quadratic_form, transport_coefficients)
 from mvpb.errors import IllConditioned
+from mvpb.nonlinear import build_gamma
 from mvpb.velocity import VelocityBasis
 
 
@@ -209,6 +211,24 @@ def test_kernel_cache_truncated_file_rebuilt(tmp_path, keep):
     again = CollisionOperator(b, cache_dir=str(tmp_path))
     assert np.array_equal(again.kernel, first.kernel)
     assert os.path.getsize(path) > 200
+
+
+def test_cache_files_get_open_mode(tmp_path):
+    # stored kernel and Gamma files carry the mode open() gives a new file
+    # in the same directory (0o666 less the umask), not mkstemp's 0o600
+    b = VelocityBasis(4, 2, 8.0, 0)
+    CollisionOperator(b, cache_dir=str(tmp_path))
+    build_gamma(b, cache_dir=str(tmp_path))
+    probe = os.path.join(tmp_path, "probe")
+    with open(probe, "wb"):
+        pass
+    want = stat.S_IMODE(os.stat(probe).st_mode)
+    os.unlink(probe)
+    names = sorted(os.listdir(tmp_path))
+    assert [n.split("_")[0] for n in names] == ["gamma", "kernel"]
+    for name in names:
+        mode = stat.S_IMODE(os.stat(os.path.join(tmp_path, name)).st_mode)
+        assert mode == want, name
 
 
 def test_solve_micro_raises_on_bad_tolerance(ops16):

@@ -137,6 +137,23 @@ def test_mass_conservation(ops16, grid):
         assert abs(n_hat0 * 2.0 * grid.L - 1.0) <= 1e-8
 
 
+def test_green_action_datum_scales_point_source(ops16):
+    # G(t) on p(x) g(v) is the point-source result times p_hat(eta) 2L per
+    # mode; modes where p_hat vanishes are not propagated and stay zero
+    op0, _ = ops16
+    small = SpaceGrid(box_half_length=20.0, nx=32)
+    ts = [0.0, 1.5, 3.0]
+    seeds = op0.basis.invariants[:2]
+    datum = np.zeros(small.nh, dtype=complex)
+    datum[[0, 3, 4, small.nh - 1]] = [0.7, 0.2 - 0.5j, 1e-3j, -0.4]
+    delta = green_action(op0, small, seeds, ts)
+    coef = green_action(op0, small, seeds, ts, datum)
+    off = datum == 0
+    assert np.all(coef[:, :, off] == 0)
+    ref = delta[:, :, ~off] * (datum[~off] * 2.0 * small.L)[None, None, :, None]
+    assert np.max(np.abs(coef[:, :, ~off] - ref)) <= 1e-14 * np.abs(ref).max()
+
+
 def test_parseval(ops16, grid):
     op0, _ = ops16
     b = op0.basis
@@ -157,7 +174,7 @@ def test_split_identity_and_contraction(ops16, grid, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AliasingWarning)
         out = synthesize_green(op0, grid, g0, [0.0, 1.0, 4.0], r0_hat=1.0,
-                               scale_delta=False)
+                               datum=np.ones(grid.nh))
     assert np.max(np.abs(out["coef"] - out["low"] - out["high"])) == 0.0
     # per-mode contraction of the eta-norm
     norm0 = np.sqrt(np.real(b.inner_eta(g0, g0, 0.0)))
@@ -180,7 +197,7 @@ def test_high_frequency_decay(ops16, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AliasingWarning)
         out = synthesize_green(op0, grid, b.invariants[0], ts, r0_hat=1.0,
-                               scale_delta=False)
+                               datum=np.ones(grid.nh))
     norms = weighted_field_norm(b, out["high"][0]).max(axis=1)
     slope, _, _ = linear_log_fit(ts, norms)
     assert slope < 0.0

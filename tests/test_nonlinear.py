@@ -95,6 +95,18 @@ def test_poisson_newton_residual(grid):
     assert np.max(np.abs(res)) <= 1e-12
 
 
+@pytest.mark.parametrize("profile", ["flat", "wide_gaussian"])
+def test_poisson_newton_guard_edge_inexact_steps(grid, profile):
+    # at the 0.5 amplitude guard the second Newton step stops at the
+    # NEWTON_SWEEPS cap; the inexact step is corrected by the next ones
+    n = np.full(grid.nx, 0.5) if profile == "flat" \
+        else 0.5 * np.exp(-grid.x ** 2 / 2000.0)
+    phi = poisson_newton(grid, n)
+    lap = grid.to_physical(grid.to_coefficients(phi) * (1.0 + grid.eta ** 2))
+    res = lap - (np.exp(-phi) + phi - 1.0) + n
+    assert np.max(np.abs(res)) <= 1e-12
+
+
 def test_poisson_newton_large_data_rejected(grid):
     with pytest.raises(NoConvergence):
         poisson_newton(grid, 0.8 * np.exp(-grid.x ** 2 / 20.0))
@@ -130,6 +142,24 @@ def test_step_linear_mode_exact(ops16, grid):
         P = scipy.linalg.expm(spectral.mode_matrix(op0, grid.eta[k]) * dt)
         exact = P @ state.coef[k]
         assert np.max(np.abs(out.coef[k] - exact)) <= 1e-10
+
+
+def test_half_step_real_form_matches_expm(ops16, grid):
+    op0, _ = ops16
+    rng = np.random.default_rng(7)
+    b = op0.basis
+    dt = 0.1
+    stepper = NonlinearStepper(op0, grid, dt, gamma=None, field_terms=False,
+                               nonlinear_poisson=False)
+    assert stepper.props.dtype == np.float64
+    assert stepper.props.shape == (grid.nh, b.n, b.n)
+    coef = rng.standard_normal((grid.nh, b.n)) \
+        + 1j * rng.standard_normal((grid.nh, b.n))
+    out = stepper._half_linear(coef)
+    for k in (0, 5, 50, grid.nh - 1):
+        P = scipy.linalg.expm(spectral.mode_matrix(op0, grid.eta[k]) * dt / 2)
+        exact = P @ coef[k]
+        assert np.max(np.abs(out[k] - exact)) <= 1e-12 * np.abs(exact).max()
 
 
 def test_step_mass_conservation(ops16, grid, gamma16):
