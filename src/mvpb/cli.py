@@ -22,7 +22,7 @@ from .errors import (BranchSwap, CFLViolation, IllConditioned, Instability,
                      MemoryBudget, MissingStudy, NoConvergence)
 from .green import KineticWaves, SpaceGrid, linear_log_fit, weighted_field_norm
 from .manifest import RunManifest, load_manifest, write_csv
-from .moments import (NSPEvolver, extract_moments, kinetic_moment_trajectory,
+from .moments import (NSPEvolver, kinetic_moment_trajectory,
                       nsp_acoustic_speeds, nsp_damping_coefficients)
 from .nonlinear import build_gamma, decay_study
 from .spectral import eigen_branches
@@ -205,33 +205,35 @@ def report_rows(manifests):
             raise MissingStudy(f"{study}:{key}")
         return doc["constants"][key]
 
+    # (criterion, required sign: +1 for > 0, -1 for < 0, None for a
+    #  tolerance check, () -> (measured, expected, tol))
     checks = [
-        ("sound speed |beta_+1| = sqrt(8/3) +- 2e-3", "dispersion",
+        ("sound speed |beta_+1| = sqrt(8/3) +- 2e-3", None,
          lambda: (abs(const("dispersion", "beta_1")),
                   float(np.sqrt(8.0 / 3.0)), 2e-3)),
-        ("acoustic damping a_+1 > 0", "dispersion",
+        ("acoustic damping a_+1 > 0", +1,
          lambda: (const("dispersion", "a_1"), None, None)),
-        ("coefficient positivity a_plus > 0", "coeffs",
+        ("coefficient positivity a_plus > 0", +1,
          lambda: (const("coeffs", "a_plus"), None, None)),
-        ("shear identity a_shear = kappa1", "coeffs",
+        ("shear identity a_shear = kappa1", None,
          lambda: (const("coeffs", "a_shear"),
                   const("coeffs", "kappa1"), 1e-12)),
-        ("fluid comparison rel error <= 0.1", "nsp-compare",
+        ("fluid comparison rel error <= 0.1", None,
          lambda: (const("nsp-compare", "nsp_final_rel_error"), 0.0, 0.1)),
-        ("wave-front exponential decay slope < 0", "waves",
+        ("wave-front exponential decay slope < 0", -1,
          lambda: (const("waves", "wave_sum_log_slope"), None, None)),
-        ("pointwise decay exponent -0.5 +- 0.1", "nonlinear",
+        ("pointwise decay exponent -0.5 +- 0.1", None,
          lambda: (const("nonlinear", "exponent_f"), -0.5, 0.1)),
     ]
     rows = []
-    for name, study, fn in checks:
+    for name, sign, fn in checks:
         try:
             measured, expected, tol = fn()
         except MissingStudy:
             rows.append((name, "MissingStudy", "", ""))
             continue
-        if expected is None:
-            ok = measured > 0 if "> 0" in name else measured < 0
+        if sign is not None:
+            ok = sign * measured > 0
             rows.append((name, "pass" if ok else "FAIL",
                          repr(measured), "sign"))
         else:

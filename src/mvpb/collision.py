@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import IllConditioned
-from .velocity import VelocityBasis
+from .velocity import VelocityBasis, macro_eigenvectors, macro_speeds
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -176,13 +176,11 @@ class CollisionOperator:
         Integral part, including the subtraction-corrected diagonal.
     nu : (n,) array
         Collision frequency at the nodes.
-    Lmat_raw : (n, n) array
-        Kmat - diag(nu).
     Lmat : (n, n) array
-        Raw operator with the discrete invariant subspace deflated exactly
-        (P1 L P1, re-symmetrized in the weighted pairing).  All spectral,
-        Green's-function and time-stepping code uses this matrix, which
-        annihilates the invariants to round-off and keeps the discrete
+        Kmat - diag(nu) with the discrete invariant subspace deflated
+        exactly (P1 L P1, re-symmetrized in the weighted pairing).  All
+        spectral, Green's-function and time-stepping code uses this matrix,
+        which annihilates the invariants to round-off and keeps the discrete
         moment balance exact.
     """
 
@@ -207,15 +205,14 @@ class CollisionOperator:
         diag = self.nu - (km * (g[None, :] / g[:, None]) * colw[None, :]).sum(axis=1)
         K[np.arange(basis.n), np.arange(basis.n)] = diag
         self.Kmat = K
-        self.Lmat_raw = K - np.diag(self.nu)
 
-        P0, P1, w = basis.P0, basis.P1, basis.w
-        Lc = P1 @ self.Lmat_raw @ P1
+        P1, w = basis.P1, basis.w
+        Lc = P1 @ (K - np.diag(self.nu)) @ P1
         # re-symmetrize in the weighted pairing: W L must be symmetric
         WL = w[:, None] * Lc
         WL = 0.5 * (WL + WL.T)
         self.Lmat = WL / w[:, None]
-        self._micro_solve_matrix = None
+        self._micro = None
 
     # ------------------------------------------------------------------ #
 
@@ -238,26 +235,37 @@ class CollisionOperator:
     def apply_L(self, f):
         return np.asarray(f) @ self.Lmat.T
 
+    def micro_spectrum(self):
+        """(lam, Q): L = Q diag(lam) Q^T W on the micro subspace.
+
+        One eigh of the w-symmetrized Lmat, on first use; eigenvalues within
+        1e-10 of zero belong to the invariants and are cut.  The columns of
+        Q are orthonormal in the weighted pairing: Q^T W Q = I.
+        """
+        if self._micro is None:
+            W = np.sqrt(self.basis.w)
+            S = (W[:, None] * self.Lmat) / W[None, :]
+            ev, U = np.linalg.eigh(0.5 * (S + S.T))
+            keep = np.abs(ev) > 1e-10
+            self._micro = ev[keep], U[:, keep] / W[:, None]
+        return self._micro
+
     def solve_micro(self, rhs, tol=1e-8):
         """Deflated inverse: solve L h = P1 rhs with h in the micro subspace.
 
-        The invariant directions are shifted to eigenvalue -1 so the system
-        is nonsingular; the solution is re-projected onto the micro space.
+        h = Q diag(1/lam) Q^T W rhs in the micro eigenbasis; rows of rhs are
+        solved independently.
         """
         b = self.basis
-        if self._micro_solve_matrix is None:
-            A = self.Lmat - b.P0
-            self._micro_solve_matrix = np.linalg.inv(A)
+        lam, Q = self.micro_spectrum()
         rhs = np.asarray(rhs)
         r = rhs @ b.P1.T
         # invariant inputs project to (numerically) zero; the solution is
         # zero by convention and the relative residual is meaningless there
         null = (np.linalg.norm(r, axis=-1)
                 <= 1e-10 * np.linalg.norm(rhs, axis=-1))
-        r = np.where(null[..., None], 0.0, r) if r.ndim > 1 else \
-            (np.zeros_like(r) if null else r)
-        h = r @ self._micro_solve_matrix.T
-        h = h @ b.P1.T
+        r = np.where(null[..., None], 0.0, r)
+        h = ((r * b.w) @ Q / lam) @ Q.T
         res = np.linalg.norm((h @ self.Lmat.T - r), axis=-1)
         scale = np.linalg.norm(r, axis=-1) + 1e-300
         if np.any(res / scale > tol):
@@ -267,22 +275,32 @@ class CollisionOperator:
 
     def micro_gap(self):
         """Spectral gap of -L on the micro subspace (coercivity constant)."""
-        b = self.basis
-        W = np.sqrt(b.w)
-        S = (W[:, None] * self.Lmat) / W[None, :]
-        S = 0.5 * (S + S.T)
-        ev = np.linalg.eigvalsh(S)
-        nz = ev[np.abs(ev) > 1e-10]
-        return float(-np.max(nz))
+        return float(-np.max(self.micro_spectrum()[0]))
 
 
 def quadratic_form(op: CollisionOperator, f, g):
-    """-(L^{-1} P1 v1 f, v1 g): the basic dissipation pairing."""
+    """-(L^{-1} P1 v1 f, v1 g): the basic dissipation pairing.
+
+    Stacked rows of f and g give the matrix of pairings from one solve.
+    """
     b = op.basis
     rf = b.v1 * np.asarray(f)
     rg = b.v1 * np.asarray(g)
     h = op.solve_micro(rf)
     return -b.inner(h, rg)
+
+
+def branch_mixing(pairing, beta):
+    """First-order mixing of the long-wave branches, zero on the diagonal.
+
+    m[j, k] = i pairing[j, k] / (beta_j - beta_k) for j != k, where
+    pairing[j, k] = (L^{-1} P1 v1 E_j, v1 E_k) and beta are the speeds of E.
+    """
+    gap = np.subtract.outer(beta, beta)
+    off = ~np.eye(len(beta), dtype=bool)
+    mix = np.zeros(gap.shape, dtype=complex)
+    mix[off] = 1j * pairing[off] / gap[off]
+    return mix
 
 
 def transport_coefficients(op0: CollisionOperator, op1: CollisionOperator):
@@ -293,44 +311,23 @@ def transport_coefficients(op0: CollisionOperator, op1: CollisionOperator):
     mixing matrix of the first-order branch eigenfunctions.
     """
     b0 = op0.basis
-    chi0, chi1, chi4 = b0.invariants
-    sound = np.sqrt(8.0 / 3.0)
-
-    # macro eigenvectors of the long-wave flux at eta = 0
-    e_plus = np.sqrt(3.0) / 4.0 * chi0 + np.sqrt(2.0) / 2.0 * chi1 + np.sqrt(2.0) / 4.0 * chi4
-    e_minus = np.sqrt(3.0) / 4.0 * chi0 - np.sqrt(2.0) / 2.0 * chi1 + np.sqrt(2.0) / 4.0 * chi4
-    e_zero = np.sqrt(2.0) / 4.0 * chi0 - np.sqrt(3.0) / 2.0 * chi4
-
-    a_plus = quadratic_form(op0, e_plus, e_plus)
-    a_minus = quadratic_form(op0, e_minus, e_minus)
-    a_zero = quadratic_form(op0, e_zero, e_zero)
-
+    # eta = 0 branch eigenvectors (E_-, E_0, E_+) and the energy invariant:
+    # one stacked solve gives every sector-0 pairing
+    F = np.vstack([macro_eigenvectors(b0, 0.0), b0.invariants[2]])
+    A = quadratic_form(op0, F, F)
     chi_perp = op1.basis.invariants[0]
     kappa1 = quadratic_form(op1, chi_perp, chi_perp)
-    kappa2 = quadratic_form(op0, chi4, chi4)
-    a_shear = kappa1
-
-    # first-order mixing coefficients between the sector-0 branches:
-    # b[j, k] = i (L^{-1} P1 v1 E_j, v1 E_k) / (beta_j - beta_k), zero diagonal
-    evecs = [e_minus, e_zero, e_plus]
-    betas = [-sound, 0.0, sound]
-    mix = np.zeros((3, 3), dtype=complex)
-    for j in range(3):
-        for k in range(3):
-            if j == k:
-                continue
-            val = -quadratic_form(op0, evecs[j], evecs[k])
-            mix[j, k] = 1j * val / (betas[j] - betas[k])
+    speeds = macro_speeds(0.0)
 
     return {
-        "sound_speed": sound,
-        "a_plus": float(a_plus),
-        "a_minus": float(a_minus),
-        "a_zero": float(a_zero),
-        "a_shear": float(a_shear),
+        "sound_speed": speeds[2],
+        "a_plus": float(A[2, 2]),
+        "a_minus": float(A[0, 0]),
+        "a_zero": float(A[1, 1]),
+        "a_shear": float(kappa1),
         "kappa1": float(kappa1),
-        "kappa2": float(kappa2),
+        "kappa2": float(A[3, 3]),
         "mu_hat": min(op0.micro_gap(), op1.micro_gap()),
         "nu0": min(op0.nu0, op1.nu0),
-        "mixing": mix,
+        "mixing": branch_mixing(-A[:3, :3], speeds[:3]),
     }

@@ -18,7 +18,7 @@ from .errors import CFLViolation, Instability
 from .green import SpaceGrid
 # not called here: perfbench/tracer.py wraps mvpb.moments.mode_matrix
 from .spectral import mode_matrix  # noqa: F401
-from .velocity import VelocityBasis
+from .velocity import VelocityBasis, macro_speeds
 
 ROOT23 = np.sqrt(2.0 / 3.0)
 #: Courant number of the explicit steps (NSPEvolver, NonlinearStepper)
@@ -32,8 +32,6 @@ class MomentState:
     grid: SpaceGrid
     n: np.ndarray
     m1: np.ndarray
-    m2: np.ndarray
-    m3: np.ndarray
     q: np.ndarray
     phi: np.ndarray = field(default=None)
 
@@ -43,8 +41,7 @@ class MomentState:
 
     def copy(self):
         return MomentState(self.grid, self.n.copy(), self.m1.copy(),
-                           self.m2.copy(), self.m3.copy(), self.q.copy(),
-                           self.phi.copy())
+                           self.q.copy(), self.phi.copy())
 
 
 def solve_field(grid: SpaceGrid, n):
@@ -56,25 +53,14 @@ def solve_field(grid: SpaceGrid, n):
     return grid.to_physical(grid.poisson_coefficients(grid.to_coefficients(-np.asarray(n))))
 
 
-def extract_moments(basis: VelocityBasis, grid: SpaceGrid, f_field,
-                    f1_field=None, basis1: VelocityBasis = None):
-    """Project a sector-0 velocity field (nx, n) onto the invariants.
-
-    Transverse momentum comes from the matching sector-1 field when given
-    (one axisymmetric profile; the second transverse component is zero by
-    symmetry of the reduction).
-    """
+def extract_moments(basis: VelocityBasis, grid: SpaceGrid, f_field):
+    """Project a sector-0 velocity field (nx, n) onto the invariants."""
     f = np.asarray(f_field)
     chi = basis.invariants            # rows: mass, momentum, energy
     n = np.real(f @ (chi[0] * basis.w))
     m1 = np.real(f @ (chi[1] * basis.w))
     q = np.real(f @ (chi[2] * basis.w))
-    if f1_field is not None:
-        m2 = np.real(np.asarray(f1_field) @ (basis1.invariants[0] * basis1.w))
-    else:
-        m2 = np.zeros_like(n)
-    m3 = np.zeros_like(n)
-    return MomentState(grid, n, m1, m2, m3, q)
+    return MomentState(grid, n, m1, q)
 
 
 # ---------------------------------------------------------------------- #
@@ -116,34 +102,28 @@ class NSPEvolver:
     rule in between.  The field solve is linearized (small perturbations).
     """
 
-    def __init__(self, grid: SpaceGrid, kappa1, kappa2, coupled=True,
-                 nonlinear_terms=True):
+    def __init__(self, grid: SpaceGrid, kappa1, kappa2, nonlinear_terms=True):
         self.grid = grid
         self.kappa1 = float(kappa1)
         self.kappa2 = float(kappa2)
-        self.coupled = coupled
         self.nonlinear_terms = nonlinear_terms
-        self.max_speed = np.sqrt(8.0 / 3.0 if coupled else 5.0 / 3.0)
+        self.max_speed = float(macro_speeds(0.0).max())
 
     def _rhs(self, st: MomentState):
         g = self.grid
-        phi = solve_field(g, st.n) if self.coupled else np.zeros_like(st.n)
-        dphi = g.derivative(phi) if self.coupled else 0.0
+        dphi = g.derivative(solve_field(g, st.n))
         dm1_x = g.derivative(st.m1)
         dn = -dm1_x
-        dm1 = -g.derivative(st.n) - ROOT23 * g.derivative(st.q)
+        dm1 = -g.derivative(st.n) - ROOT23 * g.derivative(st.q) + dphi
         dq = -ROOT23 * dm1_x
-        if self.coupled:
-            dm1 = dm1 + dphi
-            if self.nonlinear_terms:
-                dm1 = dm1 + st.n * dphi
-                dq = dq + ROOT23 * st.m1 * dphi
+        if self.nonlinear_terms:
+            dm1 = dm1 + st.n * dphi
+            dq = dq + ROOT23 * st.m1 * dphi
         return dn, dm1, dq
 
     def _diffuse(self, st: MomentState, dt):
         g = self.grid
-        for name, kap in (("m1", 4.0 * self.kappa1 / 3.0), ("m2", self.kappa1),
-                          ("m3", self.kappa1), ("q", self.kappa2)):
+        for name, kap in (("m1", 4.0 * self.kappa1 / 3.0), ("q", self.kappa2)):
             u = getattr(st, name)
             c = g.to_coefficients(u) * np.exp(-kap * g.eta ** 2 * dt)
             setattr(st, name, g.to_physical(c))
@@ -152,15 +132,13 @@ class NSPEvolver:
         self._diffuse(st, dt / 2.0)
         dn, dm1, dq = self._rhs(st)
         mid = MomentState(self.grid, st.n + dt / 2.0 * dn,
-                          st.m1 + dt / 2.0 * dm1, st.m2, st.m3,
-                          st.q + dt / 2.0 * dq)
+                          st.m1 + dt / 2.0 * dm1, st.q + dt / 2.0 * dq)
         dn, dm1, dq = self._rhs(mid)
         st.n = st.n + dt * dn
         st.m1 = st.m1 + dt * dm1
         st.q = st.q + dt * dq
         self._diffuse(st, dt / 2.0)
-        st.phi = solve_field(self.grid, st.n) if self.coupled \
-            else np.zeros_like(st.n)
+        st.phi = solve_field(self.grid, st.n)
         return st
 
     def evolve(self, state0: MomentState, t_end, dt, out_ts=None):

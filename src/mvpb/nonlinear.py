@@ -22,7 +22,7 @@ from .errors import CFLViolation, Instability, MemoryBudget, NoConvergence
 from .green import SpaceGrid, linear_log_fit
 from .moments import CFL, apply_v1_derivative, solve_field
 from .spectral import from_real_form, mode_matrix, real_form, to_real_form
-from .velocity import VelocityBasis, maxwellian
+from .velocity import VelocityBasis, macro_speeds, maxwellian
 
 
 # ---------------------------------------------------------------------- #
@@ -335,18 +335,19 @@ def poisson_newton(grid: SpaceGrid, n):
 def field_time_derivative(grid: SpaceGrid, phi, dn_dt):
     """d_t phi from the differentiated field relation.
 
-    Raises NoConvergence when the 60-sweep fixed point misses its tolerance.
+    Raises NoConvergence when the NEWTON_SWEEPS fixed point misses its
+    tolerance.
     """
     a = np.exp(-phi) - 1.0
     d = np.zeros_like(phi)
-    for _ in range(60):
+    for _ in range(NEWTON_SWEEPS):
         d_new = solve_field(grid, dn_dt + a * d)
         if np.abs(d_new - d).max() < 1e-14 * (1.0 + np.abs(d).max()):
             return d_new
         d = d_new
     raise NoConvergence("field time derivative: fixed point not reached "
-                        "in 60 sweeps (|exp(-phi) - 1| up to %.2e)"
-                        % np.abs(a).max())
+                        "in %d sweeps (|exp(-phi) - 1| up to %.2e)"
+                        % (NEWTON_SWEEPS, np.abs(a).max()))
 
 
 # ---------------------------------------------------------------------- #
@@ -454,9 +455,8 @@ class NonlinearStepper:
 
 def diffusive_profile(t, x, k=0.5):
     """Algebraic space-time profile centered on the three wave lines."""
-    betas = (-np.sqrt(8.0 / 3.0), 0.0, np.sqrt(8.0 / 3.0))
     out = np.zeros_like(np.asarray(x, dtype=float))
-    for b in betas:
+    for b in macro_speeds(0.0)[:3]:
         out += (1.0 + (x - b * t) ** 2 / (1.0 + t)) ** (-k)
     return out
 

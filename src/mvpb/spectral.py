@@ -24,8 +24,8 @@ U at O(n) cost per vector.  This module provides
 * continuation of the low-frequency eigenvalue branches (two acoustic,
   one thermal in sector 0; one doubly-degenerate shear in sector 1) with
   bilinear eta-pairing normalization;
-* the macroscopic long-wave flux matrix, its closed-form eigenvalues and
-  eigenvectors;
+* the macroscopic long-wave flux matrix (its closed-form eigenvalues and
+  eigenvectors, macro_speeds and macro_eigenvectors, live in velocity);
 * scalar dispersion functions whose roots reproduce the branches through
   a macro/micro reduction (independent of the dense eigensolve);
 * the split of the semigroup exp(t B(eta)) into its fluid rank-five part
@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .collision import CollisionOperator
+from .collision import CollisionOperator, branch_mixing
 from .errors import BranchSwap, IllConditioned, NoConvergence
-from .velocity import VelocityBasis
+from .velocity import macro_eigenvectors, macro_speeds
 
 SQRT2 = np.sqrt(2.0)
 #: smallest eigenvector overlap accepted as the same branch between steps
@@ -179,35 +179,6 @@ def macro_flux_matrix(eta):
     A[1, 4] = c
     A[4, 1] = c
     return A
-
-
-def macro_speeds(eta):
-    """Closed-form eigenvalues of the long-wave flux: [-c(eta), 0, +c(eta), 0, 0]."""
-    c = np.sqrt(5.0 / 3.0 + 1.0 / (1.0 + eta ** 2))
-    return np.array([-c, 0.0, c, 0.0, 0.0])
-
-
-def macro_eigenvectors(basis: VelocityBasis, eta):
-    """Long-wave macro eigenvectors, orthonormal in the eta-pairing.
-
-    For sector 0 returns rows (E_minus, E_zero, E_plus) ordered by the sign
-    of the associated wave speed (-c, 0, +c); for sector 1 the single shear
-    profile.  E_{+-} carry mass/energy weights depending on eta through the
-    field coupling.
-    """
-    if basis.sector == 1:
-        return basis.invariants.copy()
-    s = 1.0 / (1.0 + eta ** 2)
-    chi0, chi1, chi4 = basis.invariants
-    c0 = 1.0 / np.sqrt(10.0 / 3.0 + 2.0 * s)
-    c4 = 1.0 / np.sqrt(5.0 + 3.0 * s)
-    # wave moving with speed +c has momentum component aligned with +v1
-    e_plus = c0 * chi0 + (np.sqrt(2.0) / 2.0) * chi1 + c4 * chi4
-    e_minus = c0 * chi0 - (np.sqrt(2.0) / 2.0) * chi1 + c4 * chi4
-    z0 = np.sqrt(2.0 / 3.0) / np.sqrt((2.0 / 3.0) * (1.0 + s) + (1.0 + s) ** 2)
-    z4 = np.sqrt(1.0 + s) / np.sqrt(5.0 / 3.0 + s)
-    e_zero = z0 * chi0 - z4 * chi4
-    return np.array([e_minus, e_zero, e_plus])
 
 
 # ---------------------------------------------------------------------- #
@@ -383,8 +354,9 @@ def zero_mode_count(ops, tol=1e-6):
 class MicroResolvent:
     """Rational representation of the micro-space resolvent at fixed eta.
 
-    Diagonalizes  C = L - i eta v1  restricted to the micro subspace once,
-    after which every pairing
+    Diagonalizes  C = L - i eta v1  restricted to the micro subspace (in
+    the operator's micro eigenbasis, op.micro_spectrum) once, after which
+    every pairing
 
         R(sigma) = ((L + i eta sigma - i eta P1 v1)^{-1} P1 v1 E_src, v1 E_tst)
 
@@ -395,16 +367,9 @@ class MicroResolvent:
     def __init__(self, op: CollisionOperator, eta, sources, tests):
         b = op.basis
         self.eta = float(eta)
-        # orthonormal micro basis from the weighted symmetrized operator
-        W = np.sqrt(b.w)
-        S = (W[:, None] * op.Lmat) / W[None, :]
-        S = 0.5 * (S + S.T)
-        ev, U = np.linalg.eigh(S)
-        keep = np.abs(ev) > 1e-10
-        Q = (U[:, keep] / W[:, None])      # micro basis, orthonormal in (.,.)
-        self.Lm = ev[keep]
+        lam, Q = op.micro_spectrum()
         Vm = (Q * b.w[:, None]).T @ (b.v1[:, None] * Q)
-        C = np.diag(self.Lm).astype(complex) - 1j * eta * Vm
+        C = np.diag(lam).astype(complex) - 1j * eta * Vm
         d, X = scipy.linalg.eig(C)
         cond = np.linalg.cond(X)
         if cond > 1e10:
@@ -441,28 +406,18 @@ def dispersion_acoustic(op0: CollisionOperator, eta):
     """
     b = op0.basis
     E = macro_eigenvectors(b, eta)
-    u = np.array([macro_speeds(eta)[0], 0.0, macro_speeds(eta)[2]])
+    u = macro_speeds(eta)[:3]
     res = MicroResolvent(op0, eta, E, E)
 
     def fn(sigma):
         R, dR = res.eval(sigma)
         M = np.diag(sigma - u).astype(complex) - 1j * eta * R.T
         dM = np.eye(3, dtype=complex) - 1j * eta * dR.T
-        det = np.linalg.det(M)
-        # Jacobi: d det = tr(adj(M) dM)
-        adj = np.linalg.inv(M) * det if abs(det) > 1e-300 else _adjugate3(M)
-        ddet = np.trace(adj @ dM)
-        return det, ddet
+        # cofactor rows: adj(M) = cof.T, det = M[0] . cof[0], and by Jacobi
+        # d det = tr(adj(M) dM) = sum(cof * dM)
+        cof = np.cross(M[[1, 2, 0]], M[[2, 0, 1]])
+        return M[0] @ cof[0], np.sum(cof * dM)
     return fn
-
-
-def _adjugate3(M):
-    adj = np.empty_like(M)
-    for i in range(3):
-        for j in range(3):
-            m = np.delete(np.delete(M, j, axis=0), i, axis=1)
-            adj[i, j] = (-1) ** (i + j) * (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return adj
 
 
 def newton_root(fn, sigma0, tol=1e-12, maxit=50):
@@ -505,7 +460,6 @@ def dispersion_roots(op0, op1, etas):
         fn1 = dispersion_shear(op1, eta)
         cur[2] = newton_root(fn1, cur[2])
         out[2][i] = cur[2]
-    # relabel acoustic roots by the measured transport speed beta = Re(sigma->0)
     lam = {lab: -1j * etas * out[lab] for lab in out}
     return out, lam
 
@@ -514,36 +468,25 @@ def dispersion_roots(op0, op1, etas):
 # first-order eigenfunction expansion
 # ---------------------------------------------------------------------- #
 
-def first_order_expansion(op: CollisionOperator, bs: BranchSet):
+def first_order_expansion(op: CollisionOperator):
     """Analytic O(eta) eigenvector slopes for each branch.
 
     psi_j(eta) = E_j + eta [ i L^{-1} P1 v1 E_j + sum_{k != j} m_jk E_k ] + O(eta^2),
-    m_jk = i (L^{-1} P1 v1 E_j, v1 E_k) / (beta_j - beta_k).
+    with m = collision.branch_mixing.  Rows follow E: (-c, 0, +c) in sector 0.
     """
     b = op.basis
     E = macro_eigenvectors(b, 0.0)
-    nb = E.shape[0]
-    beta = np.array([macro_speeds(0.0)[0], 0.0, macro_speeds(0.0)[2]])[:nb] \
-        if b.sector == 0 else np.zeros(1)
-    # match branch order: bs rows are continuation order; E rows are (-c, 0, +c)
-    slopes = []
+    beta = macro_speeds(0.0)[:3] if b.sector == 0 else np.zeros(1)
     micro = op.solve_micro(b.v1 * E)
-    for j in range(nb):
-        s = 1j * micro[j].astype(complex)
-        for k in range(nb):
-            if k == j:
-                continue
-            val = b.inner(micro[j], b.v1 * E[k])
-            s = s + (1j * val / (beta[j] - beta[k])) * E[k]
-        slopes.append(s)
-    return E, np.array(slopes), beta
+    mix = branch_mixing(b.inner(micro, b.v1 * E), beta)
+    return E, 1j * micro + mix @ E, beta
 
 
 def expansion_check(op: CollisionOperator, bs: BranchSet):
     """Compare Richardson finite-difference eigenvector slopes with the
     analytic first-order expansion.  Returns max relative mismatch."""
     b = op.basis
-    E, slopes, beta = first_order_expansion(op, bs)
+    E, slopes, _ = first_order_expansion(op)
     eta = bs.etas[1]
     err = 0.0
     for j in range(bs.lam.shape[0]):

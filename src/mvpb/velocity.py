@@ -225,3 +225,36 @@ class VelocityBasis:
 def basis_pair(n1=32, nr=16, vmax=8.0):
     """Both azimuthal sectors on the same tensor grid."""
     return VelocityBasis(n1, nr, vmax, 0), VelocityBasis(n1, nr, vmax, 1)
+
+
+# ---------------------------------------------------------------------- #
+# long-wave macro basis
+# ---------------------------------------------------------------------- #
+
+def macro_speeds(eta):
+    """Closed-form eigenvalues of the long-wave flux: [-c(eta), 0, +c(eta), 0, 0]."""
+    c = np.sqrt(5.0 / 3.0 + 1.0 / (1.0 + eta ** 2))
+    return np.array([-c, 0.0, c, 0.0, 0.0])
+
+
+def macro_eigenvectors(basis: VelocityBasis, eta):
+    """Long-wave macro eigenvectors, orthonormal in the eta-pairing.
+
+    For sector 0 returns rows (E_minus, E_zero, E_plus) ordered by the sign
+    of the associated wave speed (-c, 0, +c); for sector 1 the single shear
+    profile.  E_{+-} carry mass/energy weights depending on eta through the
+    field coupling.
+    """
+    if basis.sector == 1:
+        return basis.invariants.copy()
+    s = 1.0 / (1.0 + eta ** 2)
+    chi0, chi1, chi4 = basis.invariants
+    c0 = 1.0 / np.sqrt(10.0 / 3.0 + 2.0 * s)
+    c4 = 1.0 / np.sqrt(5.0 + 3.0 * s)
+    # wave moving with speed +c has momentum component aligned with +v1
+    e_plus = c0 * chi0 + (np.sqrt(2.0) / 2.0) * chi1 + c4 * chi4
+    e_minus = c0 * chi0 - (np.sqrt(2.0) / 2.0) * chi1 + c4 * chi4
+    z0 = np.sqrt(2.0 / 3.0) / np.sqrt((2.0 / 3.0) * (1.0 + s) + (1.0 + s) ** 2)
+    z4 = np.sqrt(1.0 + s) / np.sqrt(5.0 / 3.0 + s)
+    e_zero = z0 * chi0 - z4 * chi4
+    return np.array([e_minus, e_zero, e_plus])

@@ -249,10 +249,15 @@ def test_report_partial_inputs(study_outputs, tmp_path, capsys):
     assert all(s != "FAIL" for s in status.values())
 
 
-def test_report_perturbed_fails(study_outputs, tmp_path, capsys):
+@pytest.mark.parametrize("key, value, criterion", [
+    ("beta_1", 1.0, "sound speed |beta_+1| = sqrt(8/3) +- 2e-3"),
+    ("a_1", -0.1, "acoustic damping a_+1 > 0"),
+], ids=["beta_1", "a_1"])
+def test_report_perturbed_fails(study_outputs, tmp_path, capsys, key, value,
+                                criterion):
     co, di = study_outputs
     doc = _load_manifest(di)
-    doc["constants"]["beta_1"] = 1.0          # negative control
+    doc["constants"][key] = value             # negative control
     bad = tmp_path / "manifest.json"
     with open(bad, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -260,7 +265,8 @@ def test_report_perturbed_fails(study_outputs, tmp_path, capsys):
                "--out", str(tmp_path)])
     text = capsys.readouterr().out
     assert rc == 3
-    assert "FAIL" in text
+    rows = [ln.split(",") for ln in text.strip().splitlines()[1:]]
+    assert {r[0]: r[1] for r in rows}[criterion] == "FAIL"
 
 
 def test_report_missing_file_exit_2(tmp_path):

@@ -132,6 +132,21 @@ def test_solve_micro_residual_and_deflation(ops24):
         assert abs(b.inner(h, chi)) <= 1e-10
 
 
+def test_solve_micro_stacked_rows_with_invariant_row(ops24, rng):
+    # the null guard acts per row: an invariant row comes back zero and the
+    # other rows equal their single-row solves
+    op = ops24[0]
+    b = op.basis
+    rhs = np.vstack([b.v1 * b.invariants[1], b.invariants[2],
+                     rng.standard_normal(b.n)])
+    h = op.solve_micro(rhs)
+    assert h.shape == rhs.shape
+    assert np.all(h[1] == 0.0)
+    for i in (0, 2):
+        one = op.solve_micro(rhs[i])
+        assert b.norm(h[i] - one) <= 1e-13 * b.norm(one)
+
+
 def test_transport_coefficients(ops24):
     tc = transport_coefficients(*ops24)
     for key in ("a_plus", "a_minus", "a_zero", "a_shear", "kappa1", "kappa2",

@@ -39,7 +39,7 @@ def test_extract_moments_pure_profiles(bases16, grid):
 
 def test_moment_state_field_residual(grid):
     n = bump(grid.x)
-    st = MomentState(grid, n, 0 * n, 0 * n, 0 * n, 0 * n)
+    st = MomentState(grid, n, 0 * n, 0 * n)
     d2 = grid.to_physical(grid.derivative_coefficients(
         grid.to_coefficients(st.phi), order=2))
     assert np.max(np.abs(st.phi - d2 + n)) <= 1e-10
@@ -105,8 +105,7 @@ def test_nsp_damping_matches_kinetic(ops24):
 
 def test_nsp_mass_conservation(grid):
     ev = NSPEvolver(grid, 0.18, 0.45)
-    st = MomentState(grid, bump(grid.x), 0 * grid.x, 0 * grid.x,
-                     0 * grid.x, 0 * grid.x)
+    st = MomentState(grid, bump(grid.x), 0 * grid.x, 0 * grid.x)
     mass0 = st.n.sum() * grid.dx
     _, snaps = ev.evolve(st, 10.0, 0.05, out_ts=[5.0, 10.0])
     for s in snaps:
@@ -115,8 +114,7 @@ def test_nsp_mass_conservation(grid):
 
 def test_nsp_cfl_violation(grid):
     ev = NSPEvolver(grid, 0.18, 0.45)
-    st = MomentState(grid, bump(grid.x), 0 * grid.x, 0 * grid.x,
-                     0 * grid.x, 0 * grid.x)
+    st = MomentState(grid, bump(grid.x), 0 * grid.x, 0 * grid.x)
     with pytest.raises(CFLViolation):
         ev.evolve(st, 1.0, 1.0)
 
@@ -124,8 +122,7 @@ def test_nsp_cfl_violation(grid):
 def test_nsp_instability_detected(grid):
     # negative diffusion blows up and is caught
     ev = NSPEvolver(grid, -0.5, -0.5)
-    st = MomentState(grid, bump(grid.x), 0 * grid.x, 0 * grid.x,
-                     0 * grid.x, 0 * grid.x)
+    st = MomentState(grid, bump(grid.x), 0 * grid.x, 0 * grid.x)
     with pytest.raises(Instability):
         ev.evolve(st, 20.0, 0.05)
 
@@ -139,7 +136,7 @@ def test_kinetic_vs_nsp_trajectory(ops16, ops24):
     kin = kinetic_moment_trajectory(op0, grid, prof, ts)
     tc = transport_coefficients(*ops16)
     ev = NSPEvolver(grid, tc["kappa1"], tc["kappa2"], nonlinear_terms=False)
-    st = MomentState(grid, prof, 0 * grid.x, 0 * grid.x, 0 * grid.x, 0 * grid.x)
+    st = MomentState(grid, prof, 0 * grid.x, 0 * grid.x)
     _, fluid = ev.evolve(st, 30.0, 0.05, out_ts=ts)
     for k, f in zip(kin, fluid):
         num = np.linalg.norm(np.concatenate(
