@@ -161,6 +161,9 @@ def study_nonlinear(cfg, man):
     gamma = None
     if cfg.collisions:
         gamma = build_gamma(op0.basis, cache_dir=cache_dir())
+        man.timings["gamma_build_s"] = gamma.build_seconds
+        man.timings["gamma_cache"] = "hit" if gamma.build_seconds == 0.0 \
+            else "miss"
     rep = decay_study(op0, grid, gamma, t_end=cfg.t_end, dt=cfg.dt,
                       delta0=cfg.delta0, gamma0=cfg.gamma0)
     rows = [(r["t"], r["sup_f"], r["sup_dvf"], r["sup_phi"], r["sup_dphi"],

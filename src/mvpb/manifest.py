@@ -41,13 +41,18 @@ def write_csv(path, header, rows):
 
 
 class RunManifest:
-    """Accumulates constants and produced files during a study run."""
+    """Accumulates constants, timings and produced files during a study run.
+
+    constants are the fitted results that reports compare; timings hold
+    where the time went and which caches hit, which no report checks.
+    """
 
     def __init__(self, config, out_dir):
         self.config = config
         self.out_dir = out_dir
         self.t0 = time.time()
         self.constants = {}
+        self.timings = {}
         self.files = []
         self.partial = False
         self.error = None
@@ -73,6 +78,7 @@ class RunManifest:
             },
             "wall_clock_seconds": time.time() - self.t0,
             "constants": self.constants,
+            "timings": self.timings,
             "files": self.files,
             "partial": self.partial,
             "error": self.error,

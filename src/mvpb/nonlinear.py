@@ -92,9 +92,21 @@ def _gamma_quadrature(basis: VelocityBasis):
     a midpoint rule for the azimuth of v*, and omega uses Gauss nodes in
     the polar cosine times a midpoint azimuth.  ell_star interpolates node
     values at the v* points.
+
+    The full rule holds each collision four times, so one quarter of it is
+    kept with weight x4.  omega and -omega give the same v', v'* and rate
+    |(v - v*).omega|, and the omega rule maps onto itself under the sign
+    flip: only cos(theta) > 0 is kept, x2 in w_omega.  The mirror
+    v3 -> -v3 fixes every output node (v1, vr, 0), maps (phi*, omega) to
+    (2 pi - phi*, mirrored omega) and keeps the radial speeds of v' and
+    v'*; the midpoint phi* rule maps onto itself under it: only phi* in
+    (0, pi) is kept, x2 in w_star.  PHI_STAR_NODES and OMEGA_THETA_NODES
+    must be even: an odd count puts nodes at cos(theta) = 0 or phi* = pi
+    that are their own images, which the doubled weight counts twice.
     """
-    phis = (np.arange(PHI_STAR_NODES) + 0.5) * 2.0 * np.pi / PHI_STAR_NODES
+    phis = (np.arange(PHI_STAR_NODES // 2) + 0.5) * 2.0 * np.pi / PHI_STAR_NODES
     ct, wt = leggauss(OMEGA_THETA_NODES)
+    ct, wt = ct[OMEGA_THETA_NODES // 2:], 2.0 * wt[OMEGA_THETA_NODES // 2:]
     pho = (np.arange(OMEGA_PHI_NODES) + 0.5) * 2.0 * np.pi / OMEGA_PHI_NODES
     st = np.sqrt(1.0 - ct ** 2)
     omega = np.stack([
@@ -104,14 +116,14 @@ def _gamma_quadrature(basis: VelocityBasis):
     ], axis=1)                                           # (n_om, 3)
     w_omega = np.repeat(wt, OMEGA_PHI_NODES) * (2.0 * np.pi / OMEGA_PHI_NODES)
     # v* in 3-D for each (node, phi*)
-    v1s = np.repeat(basis.v1, PHI_STAR_NODES)
-    vrs = np.repeat(basis.vr, PHI_STAR_NODES)
+    v1s = np.repeat(basis.v1, len(phis))
+    vrs = np.repeat(basis.vr, len(phis))
     phs = np.tile(phis, basis.n)
     vstar = np.stack([v1s, vrs * np.cos(phs), vrs * np.sin(phs)], axis=1)
     # measure: basis.w includes the sector azimuthal factor 2*pi; the
-    # explicit phi* rule replaces it
-    w_star = np.repeat(basis.w / (2.0 * np.pi), PHI_STAR_NODES) \
-        * (2.0 * np.pi / PHI_STAR_NODES)
+    # explicit phi* rule over (0, pi), doubled by the mirror, replaces it
+    w_star = np.repeat(basis.w / (2.0 * np.pi), len(phis)) \
+        * 2.0 * (2.0 * np.pi / PHI_STAR_NODES)
     vrstar = np.hypot(vstar[:, 1], vstar[:, 2])
     interp = _TensorInterp(basis)
     return {"vstar": vstar, "w_star": w_star,
@@ -167,7 +179,7 @@ def _invariant_cleanup(basis: VelocityBasis, arr):
 class GammaTensor:
     tensor: np.ndarray          # (n, n, n), symmetric in the last two axes
     tag: tuple
-    build_seconds: float = 0.0
+    build_seconds: float = 0.0  # 0.0 when loaded from the cache
 
 
 def build_gamma(basis: VelocityBasis, cache_dir=None):
@@ -186,7 +198,7 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
                            % (n ** 3, GAMMA_MEMORY_CAP))
     # the last entry is the rule version: change it with the quadrature
     tag = (basis.n1, basis.nr, basis.vmax, PHI_STAR_NODES,
-           OMEGA_THETA_NODES, OMEGA_PHI_NODES, 2)
+           OMEGA_THETA_NODES, OMEGA_PHI_NODES, 3)
     path = cache_path(cache_dir, "gamma", tag) if cache_dir else None
     if path:
         T = load_array(path, tag, (n, n, n))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mvpb.collision import CollisionOperator
+from mvpb.nonlinear import build_gamma
 from mvpb.velocity import basis_pair
 
 CACHE = os.environ.get(
@@ -34,6 +35,11 @@ def ops16(bases16):
     b0, b1 = bases16
     return (CollisionOperator(b0, cache_dir=CACHE),
             CollisionOperator(b1, cache_dir=CACHE))
+
+
+@pytest.fixture(scope="session")
+def gamma16(bases16):
+    return build_gamma(bases16[0], cache_dir=CACHE)
 
 
 @pytest.fixture(scope="session")

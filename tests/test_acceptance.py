@@ -16,8 +16,8 @@ from mvpb.green import (FluidPart, KineticWaves, SpaceGrid, hump_centers,
                         linear_log_fit, synthesize_green, weighted_field_norm)
 from mvpb.moments import (NSPEvolver, kinetic_moment_trajectory,
                           nsp_acoustic_speeds, nsp_damping_coefficients)
-from mvpb.nonlinear import (NonlinearStepper, apply_gamma, build_gamma,
-                            decay_study, gamma_direct, initial_state)
+from mvpb.nonlinear import (NonlinearStepper, apply_gamma, decay_study,
+                            gamma_direct, initial_state)
 from mvpb.spectral import (dispersion_roots, eigen_branches, macro_flux_matrix,
                            mode_matrix, semigroup_split, spectral_gap_scan,
                            zero_mode_count)
@@ -45,11 +45,6 @@ def branches(ops24):
 @pytest.fixture(scope="module")
 def tc24(ops24):
     return transport_coefficients(*ops24)
-
-
-@pytest.fixture(scope="module")
-def gamma16(bases16, cache_dir):
-    return build_gamma(bases16[0], cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------- #

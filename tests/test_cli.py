@@ -139,6 +139,24 @@ def test_nonlinear_empty_fit_window_exit_3(tmp_path):
     assert "exponent_f" not in doc["constants"]
 
 
+def test_nonlinear_manifest_gamma_cache_miss_then_hit(tmp_path, monkeypatch):
+    # the Γ build time and cache status go into the manifest's timings,
+    # not its constants
+    monkeypatch.setenv("MVPB_CACHE", str(tmp_path / "cache"))
+    seen = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        rc = main(["nonlinear", "--out", str(out), "--set", "t_end=15",
+                   "--set", "n1=4", "--set", "nr=2", "--set", "nx=64"])
+        assert rc == 0
+        doc = _load_manifest(out)
+        assert "gamma_cache" not in doc["constants"]
+        seen.append(doc["timings"])
+    assert seen[0]["gamma_cache"] == "miss"
+    assert seen[0]["gamma_build_s"] > 0
+    assert seen[1] == {"gamma_build_s": 0.0, "gamma_cache": "hit"}
+
+
 @given(st.lists(st.floats(min_value=0.0, allow_nan=False,
                           allow_infinity=False), min_size=1))
 def test_times_round_trip(ts):

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.polynomial.legendre import leggauss
 
 from mvpb import collision, nonlinear, spectral
 from mvpb.errors import NoConvergence
@@ -15,13 +16,7 @@ from mvpb.nonlinear import (GammaTensor, KineticState, NonlinearStepper,
                             field_time_derivative, gamma_direct,
                             initial_state, poisson_newton,
                             state_diagnostics)
-from mvpb.velocity import VelocityBasis
-
-
-@pytest.fixture(scope="module")
-def gamma16(bases16, cache_dir):
-    b0, _ = bases16
-    return build_gamma(b0, cache_dir=cache_dir)
+from mvpb.velocity import VelocityBasis, maxwellian
 
 
 @pytest.fixture(scope="module")
@@ -305,3 +300,64 @@ def test_gamma_tensor_matches_direct_quadrature(tmp_path):
     direct = gamma_direct(b, fs, gs)
     tens = apply_gamma(gamma, fs, gs)
     assert np.abs(tens - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def _full_quadrature(basis):
+    """The collision rule before its symmetry reduction: every phi* in
+    (0, 2 pi) and every Gauss cos(theta) in (-1, 1), at their plain weights."""
+    phis = (np.arange(nonlinear.PHI_STAR_NODES) + 0.5) * 2.0 * np.pi \
+        / nonlinear.PHI_STAR_NODES
+    ct, wt = leggauss(nonlinear.OMEGA_THETA_NODES)
+    n_pho = nonlinear.OMEGA_PHI_NODES
+    pho = (np.arange(n_pho) + 0.5) * 2.0 * np.pi / n_pho
+    st = np.sqrt(1.0 - ct ** 2)
+    omega = np.stack([np.repeat(ct, n_pho), np.outer(st, np.cos(pho)).ravel(),
+                      np.outer(st, np.sin(pho)).ravel()], axis=1)
+    w_omega = np.repeat(wt, n_pho) * (2.0 * np.pi / n_pho)
+    vrs = np.repeat(basis.vr, len(phis))
+    phs = np.tile(phis, basis.n)
+    vstar = np.stack([np.repeat(basis.v1, len(phis)), vrs * np.cos(phs),
+                      vrs * np.sin(phs)], axis=1)
+    w_star = np.repeat(basis.w / (2.0 * np.pi), len(phis)) \
+        * (2.0 * np.pi / len(phis))
+    interp = nonlinear._TensorInterp(basis)
+    return {"vstar": vstar, "w_star": w_star,
+            "sqm_star": np.sqrt(maxwellian(vstar[:, 0], vrs)),
+            "omega": omega, "w_omega": w_omega, "interp": interp,
+            "ell_star": interp.matrix(vstar[:, 0], vrs,
+                                      np.empty((len(vstar), basis.n)))}
+
+
+def test_gamma_quarter_rule_matches_full_rule(monkeypatch):
+    # the tensor-vs-direct checks share the rule, so only an independent
+    # copy of the full rule can see a wrong reduction or weight
+    b = VelocityBasis(4, 2, 8.0, 0)
+    rng = np.random.default_rng(11)
+    fs = rng.standard_normal((3, b.n))
+    gs = rng.standard_normal((3, b.n))
+    quarter = build_gamma(b).tensor
+    quarter_direct = gamma_direct(b, fs, gs)
+    monkeypatch.setattr(nonlinear, "_gamma_quadrature", _full_quadrature)
+    full = build_gamma(b).tensor
+    full_direct = gamma_direct(b, fs, gs)
+    assert np.abs(quarter - full).max() <= 1e-13 * np.abs(full).max()
+    assert np.abs(quarter_direct - full_direct).max() \
+        <= 1e-13 * np.abs(full_direct).max()
+
+
+def test_gamma_quadrature_keeps_one_quarter():
+    # an odd Gauss count would put a node at cos(theta) = 0, and an odd
+    # midpoint count one at phi* = pi, that the halving cannot split
+    assert nonlinear.PHI_STAR_NODES % 2 == 0
+    assert nonlinear.OMEGA_THETA_NODES % 2 == 0
+    b = VelocityBasis(4, 2, 8.0, 0)
+    quad = nonlinear._gamma_quadrature(b)
+    assert abs(quad["w_omega"].sum() - 4.0 * np.pi) <= 1e-13
+    assert abs(quad["w_star"].sum() - b.w.sum()) <= 1e-13
+    vstar = quad["vstar"]
+    phi_star = np.mod(np.arctan2(vstar[:, 2], vstar[:, 1]), 2.0 * np.pi)
+    assert not np.any(phi_star >= np.pi)
+    assert np.all(quad["omega"][:, 0] > 0)
+    assert len(vstar) == b.n * nonlinear.PHI_STAR_NODES // 2
+    assert len(quad["omega"]) == nonlinear.OMEGA_THETA_NODES \
+        * nonlinear.OMEGA_PHI_NODES // 2
