@@ -139,8 +139,8 @@ def study_nsp_compare(cfg, man):
     profile = np.exp(-grid.x ** 2 / 200.0)
     kin = kinetic_moment_trajectory(op0, grid, profile, [0.0] + ts)
     # linear-to-linear comparison: the kinetic reference is the linearized
-    # propagator, so the fluid quadratic terms stay off
-    ev = NSPEvolver(grid, k1, k2, nonlinear_terms=False)
+    # propagator, and the closure is linear too
+    ev = NSPEvolver(grid, k1, k2)
     _, fluid = ev.evolve(kin[0], max(ts), cfg.dt, out_ts=ts)
     rows = []
     for t, k, f in zip(ts, kin[1:], fluid):

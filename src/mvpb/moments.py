@@ -1,4 +1,4 @@
-"""Fluid moments, the Navier-Stokes-Poisson closure, and energy diagnostics.
+"""Fluid moments, the Navier-Stokes-Poisson closure, and the v1 derivative.
 
 The closure evolves density, momentum and heat moments with viscosity and
 heat-conduction coefficients taken from the kinetic quadratic forms, the
@@ -99,14 +99,14 @@ class NSPEvolver:
 
     Diffusion is applied exactly in frequency space over half steps; the
     hyperbolic transport and the field coupling use an explicit midpoint
-    rule in between.  The field solve is linearized (small perturbations).
+    rule in between.  The closure is linear (small perturbations): the
+    field solve is linearized and the quadratic field products are left out.
     """
 
-    def __init__(self, grid: SpaceGrid, kappa1, kappa2, nonlinear_terms=True):
+    def __init__(self, grid: SpaceGrid, kappa1, kappa2):
         self.grid = grid
         self.kappa1 = float(kappa1)
         self.kappa2 = float(kappa2)
-        self.nonlinear_terms = nonlinear_terms
         self.max_speed = float(macro_speeds(0.0).max())
 
     def _rhs(self, st: MomentState):
@@ -116,9 +116,6 @@ class NSPEvolver:
         dn = -dm1_x
         dm1 = -g.derivative(st.n) - ROOT23 * g.derivative(st.q) + dphi
         dq = -ROOT23 * dm1_x
-        if self.nonlinear_terms:
-            dm1 = dm1 + st.n * dphi
-            dq = dq + ROOT23 * st.m1 * dphi
         return dn, dm1, dq
 
     def _diffuse(self, st: MomentState, dt):
@@ -181,7 +178,7 @@ def kinetic_moment_trajectory(op: CollisionOperator, grid: SpaceGrid,
 
 
 # ---------------------------------------------------------------------- #
-# energy functionals
+# velocity derivative
 # ---------------------------------------------------------------------- #
 
 def _v1_derivative_matrix(basis: VelocityBasis):
@@ -211,54 +208,3 @@ def apply_v1_derivative(basis: VelocityBasis, f_field, order=1):
     for _ in range(order):
         f = D1 @ f
     return f.reshape(shape)
-
-
-def energy_functionals(basis: VelocityBasis, grid: SpaceGrid, f_field,
-                       phi, N=2, k=0):
-    """Weighted Sobolev energies of a sector-0 field.
-
-    Returns a dict with the three diagnostics: the full energy, the
-    microscopic energy with first-order macro terms, and the dissipation
-    weight (extra half power of w on the micro terms).
-    """
-    f = np.asarray(f_field, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    w_v = np.sqrt(1.0 + basis.v1 ** 2 + basis.vr ** 2)
-    dx = grid.dx
-
-    def xnorm2(u, weight_pow):
-        # u: (nx, n); weighted L2_{x,v}
-        return float(np.einsum("xi,i->", np.abs(u) ** 2,
-                               basis.w * w_v ** (2.0 * weight_pow)) * dx)
-
-    def phinorm2(p):
-        dp = grid.derivative(p)
-        return float((np.abs(p) ** 2 + np.abs(dp) ** 2).sum() * dx)
-
-    # cache x-derivatives of f and phi
-    fx = {0: f}
-    px = {0: phi}
-    for a in range(1, N + 1):
-        fx[a] = grid.derivative(fx[a - 1], axis=0)
-        px[a] = grid.derivative(px[a - 1])
-
-    E = 0.0
-    H = 0.0
-    D = 0.0
-    for a in range(N + 1):
-        for bq in range(N + 1 - a):
-            u = apply_v1_derivative(basis, fx[a], order=bq) if bq else fx[a]
-            E += xnorm2(u, k)
-            u1 = np.stack([basis.project(row, "micro") for row in u])
-            H += xnorm2(u1, k)
-            D += xnorm2(u1, k + 0.5)
-    for a in range(N + 1):
-        E += phinorm2(px[a])
-    # macro terms carry one extra x-derivative (orders 1 .. N)
-    for a in range(1, N + 1):
-        macro = np.stack([basis.project(row, "hydro") for row in fx[a]])
-        H += xnorm2(macro, 0.0)
-        D += xnorm2(macro, 0.0)
-        H += phinorm2(px[a])
-        D += phinorm2(px[a])
-    return {"E": E, "H": H, "D": D}

@@ -188,8 +188,9 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
     T[i, j, k] is the coefficient of node i in the operator applied to the
     (j, k) node pair, symmetrized in (j, k) and projected off the
     invariants.  With cache_dir, the tensor is stored there under its tag
-    (grid and quadrature sizes) and loaded when a file with the same tag
-    is found; a file with another tag or a damaged file is rebuilt.
+    (grid and quadrature sizes) in a file named by the grid alone, and
+    loaded when the file's tag matches; a file with another tag (an older
+    quadrature) or a damaged file is rebuilt in place.
     Raises MemoryBudget when n^3 exceeds GAMMA_MEMORY_CAP.
     """
     n = basis.n
@@ -199,7 +200,7 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
     # the last entry is the rule version: change it with the quadrature
     tag = (basis.n1, basis.nr, basis.vmax, PHI_STAR_NODES,
            OMEGA_THETA_NODES, OMEGA_PHI_NODES, 3)
-    path = cache_path(cache_dir, "gamma", tag) if cache_dir else None
+    path = cache_path(cache_dir, "gamma", tag[:3]) if cache_dir else None
     if path:
         T = load_array(path, tag, (n, n, n))
         if T is not None:
@@ -301,65 +302,53 @@ def gamma_direct(basis: VelocityBasis, f, g):
 # nonlinear field solve
 # ---------------------------------------------------------------------- #
 
-#: poisson_newton residual tolerance, step limit and sweeps per step; a step
-#: that stops at the sweep cap is inexact and the next step corrects it
-NEWTON_TOL, NEWTON_MAXIT, NEWTON_SWEEPS = 1e-12, 25, 60
+#: field fixed point: sup-norm residual tolerance and sweep limit
+FIELD_TOL, FIELD_MAXIT = 1e-12, 60
+
+
+def _field_fixed_point(grid: SpaceGrid, source):
+    """Picard iteration x <- solve_field(grid, source(x)) from x = 0.
+
+    Solves (I - d_xx) x + source(x) = 0, the form of both field relations.
+    Returns the first iterate whose sup-norm residual is <= FIELD_TOL;
+    raises NoConvergence on a non-finite residual or after FIELD_MAXIT
+    sweeps.
+    """
+    sym = 1.0 + grid.eta ** 2
+    x = np.zeros(grid.nx)
+    for sweeps in range(FIELD_MAXIT + 1):
+        s = source(x)
+        r = np.abs(grid.to_physical(grid.to_coefficients(x) * sym) + s).max()
+        if r <= FIELD_TOL:
+            return x
+        if sweeps == FIELD_MAXIT or not np.isfinite(r):
+            raise NoConvergence("field residual %.2e after %d sweeps"
+                                % (r, sweeps))
+        x = solve_field(grid, s)
 
 
 def poisson_newton(grid: SpaceGrid, n):
     """Field from the nonlinear relation with Boltzmann-distributed charge.
 
-    Solves (I - d_xx) phi - (exp(-phi) + phi - 1) = -n by Newton iteration;
-    each linear solve inverts the frequency-diagonal part and treats the
-    pointwise Jacobian term as a contraction (small-data regime).
+    Solves (I - d_xx) phi - (exp(-phi) + phi - 1) = -n.  The sweep is a
+    contraction with factor max|1 - exp(-phi)|, at most 1/2 under the
+    |n| <= 0.5 small-data guard.
     """
     n = np.asarray(n, dtype=float)
     if np.abs(n).max() > 0.5:
         raise NoConvergence("density amplitude %.3f outside small-data regime"
                             % np.abs(n).max())
-    phi = np.zeros_like(n)
-    sym = 1.0 + grid.eta ** 2
-
-    def residual(p):
-        lap = grid.to_physical(grid.to_coefficients(p) * sym)
-        return lap - (np.exp(-p) + p - 1.0) + n
-
-    for _ in range(NEWTON_MAXIT):
-        r = residual(phi)
-        if np.abs(r).max() <= NEWTON_TOL:
-            return phi
-        a = np.exp(-phi) - 1.0          # pointwise Jacobian correction
-        d = np.zeros_like(phi)
-        for _inner in range(NEWTON_SWEEPS):
-            d_new = solve_field(grid, r + a * d)
-            if np.abs(d_new - d).max() < 0.01 * NEWTON_TOL:
-                d = d_new
-                break
-            d = d_new
-        phi = phi + d
-    r = residual(phi)
-    if np.abs(r).max() <= NEWTON_TOL:
-        return phi
-    raise NoConvergence("field residual %.2e after %d Newton steps"
-                        % (np.abs(r).max(), NEWTON_MAXIT))
+    return _field_fixed_point(grid, lambda p: n - (np.exp(-p) + p - 1.0))
 
 
 def field_time_derivative(grid: SpaceGrid, phi, dn_dt):
     """d_t phi from the differentiated field relation.
 
-    Raises NoConvergence when the NEWTON_SWEEPS fixed point misses its
-    tolerance.
+    Solves (I - d_xx) phi_t + (exp(-phi) - 1) phi_t = -d_t n; the sweep
+    contracts while max|exp(-phi) - 1| < 1.
     """
     a = np.exp(-phi) - 1.0
-    d = np.zeros_like(phi)
-    for _ in range(NEWTON_SWEEPS):
-        d_new = solve_field(grid, dn_dt + a * d)
-        if np.abs(d_new - d).max() < 1e-14 * (1.0 + np.abs(d).max()):
-            return d_new
-        d = d_new
-    raise NoConvergence("field time derivative: fixed point not reached "
-                        "in %d sweeps (|exp(-phi) - 1| up to %.2e)"
-                        % (NEWTON_SWEEPS, np.abs(a).max()))
+    return _field_fixed_point(grid, lambda d: dn_dt + a * d)
 
 
 # ---------------------------------------------------------------------- #
@@ -371,7 +360,6 @@ class KineticState:
     """Sector-0 perturbation in mixed representation (frequency x nodes)."""
 
     coef: np.ndarray            # (nh, n) complex, non-negative modes
-    phi: np.ndarray             # (nx,) real
     t: float
 
 
@@ -381,18 +369,17 @@ class NonlinearStepper:
     Half-steps of the exact linear propagator (collisions, streaming,
     linearized field response) sandwich an explicit midpoint step of the
     quadratic terms: the field products, the collision bilinear form, and
-    the beyond-linear part of the field equation.
+    the beyond-linear part of the field equation.  The field is solved
+    only where it is read: in the quadratic step when field_terms is on.
     """
 
     def __init__(self, op: CollisionOperator, grid: SpaceGrid, dt,
-                 gamma: GammaTensor = None, field_terms=True,
-                 nonlinear_poisson=True):
+                 gamma: GammaTensor = None, field_terms=True):
         self.op = op
         self.grid = grid
         self.dt = float(dt)
         self.gamma = gamma
         self.field_terms = field_terms
-        self.nonlinear_poisson = nonlinear_poisson
         b = op.basis
         self.b = b
         self.mass_w = b.invariants[0] * b.w
@@ -406,14 +393,6 @@ class NonlinearStepper:
 
     # -------------------------------------------------------------- #
 
-    def density(self, coef):
-        return self.grid.to_physical(coef @ self.mass_w)
-
-    def solve_phi(self, n_x):
-        if self.nonlinear_poisson:
-            return poisson_newton(self.grid, n_x)
-        return solve_field(self.grid, n_x)
-
     def _half_linear(self, coef):
         perm = self.b.reflection
         z = to_real_form(coef, perm, axis=1)
@@ -423,13 +402,12 @@ class NonlinearStepper:
     def _quadratic_rhs(self, coef):
         """Explicit sources in physical space; returns coefficient rhs."""
         g = self.grid
-        f_x = g.to_physical(coef, axis=0)       # (nx, n) real field
-        f_x = np.real(f_x)
-        n_x = f_x @ self.mass_w
-        phi = self.solve_phi(n_x)
-        dphi = g.derivative(phi)
+        f_x = np.real(g.to_physical(coef, axis=0))      # (nx, n) real field
         rhs = np.zeros_like(f_x)
         if self.field_terms:
+            n_x = f_x @ self.mass_w
+            phi = poisson_newton(g, n_x)
+            dphi = g.derivative(phi)
             rhs += 0.5 * dphi[:, None] * (self.b.v1[None, :] * f_x)
             rhs -= dphi[:, None] * apply_v1_derivative(self.b, f_x)
             # beyond-linear part of the field source (the linear response
@@ -453,12 +431,9 @@ class NonlinearStepper:
             r2 = self._quadratic_rhs(mid)
             coef = coef + self.dt * r2
         coef = self._half_linear(coef)
-        n_x = self.density(coef)
-        phi = self.solve_phi(n_x)
-        norm = float(np.abs(coef).max())
-        if not np.isfinite(norm):
+        if not np.isfinite(np.abs(coef).max()):
             raise Instability("non-finite state at t=%g" % (state.t + self.dt))
-        return KineticState(coef, phi, state.t + self.dt)
+        return KineticState(coef, state.t + self.dt)
 
 
 # ---------------------------------------------------------------------- #
@@ -474,16 +449,11 @@ def diffusive_profile(t, x, k=0.5):
 
 
 def initial_state(op: CollisionOperator, grid: SpaceGrid, delta0=1e-3,
-                  gamma0=1.0, nonlinear_poisson=True):
+                  gamma0=1.0):
     """Localized small initial datum delta0 (1+x^2)^{-gamma0} chi0(v)."""
-    b = op.basis
     bump = delta0 * (1.0 + grid.x ** 2) ** (-gamma0)
-    f_x = np.outer(bump, b.invariants[0])
-    coef = grid.to_coefficients(f_x, axis=0)
-    n_x = f_x @ (b.invariants[0] * b.w)
-    phi = poisson_newton(grid, n_x) if nonlinear_poisson else \
-        solve_field(grid, n_x)
-    return KineticState(coef, phi, 0.0)
+    f_x = np.outer(bump, op.basis.invariants[0])
+    return KineticState(grid.to_coefficients(f_x, axis=0), 0.0)
 
 
 def state_diagnostics(stepper: NonlinearStepper, state: KineticState):
@@ -491,12 +461,9 @@ def state_diagnostics(stepper: NonlinearStepper, state: KineticState):
     b = stepper.b
     g = stepper.grid
     f_x = np.real(g.to_physical(state.coef, axis=0))
-    w3 = (1.0 + b.v1 ** 2 + b.vr ** 2) ** 1.5
-    w2 = 1.0 + b.v1 ** 2 + b.vr ** 2
-    sup_f = np.abs(f_x * w3[None, :]).max(axis=1)          # L^inf_{v,3}
-    dvf = apply_v1_derivative(b, f_x)
-    sup_dvf = np.abs(dvf * w2[None, :]).max(axis=1)        # L^inf_{v,2}
-    phi = state.phi
+    sup_f = b.weighted_sup_norm(f_x, 3)                    # L^inf_{v,3}
+    sup_dvf = b.weighted_sup_norm(apply_v1_derivative(b, f_x), 2)
+    phi = poisson_newton(g, f_x @ stepper.mass_w)
     dphi = g.derivative(phi)
     # density time derivative from the continuity relation d_t n = -d_x m1
     m1_x = f_x @ (b.v1 * stepper.mass_w)
@@ -533,8 +500,7 @@ def decay_study(op: CollisionOperator, grid: SpaceGrid, gamma: GammaTensor,
     the weighted velocity sup norm and of the field gradients over
     t in [10, t_end].
     """
-    stepper = NonlinearStepper(op, grid, dt, gamma=gamma,
-                               field_terms=True, nonlinear_poisson=True)
+    stepper = NonlinearStepper(op, grid, dt, gamma=gamma, field_terms=True)
     state = initial_state(op, grid, delta0, gamma0)
     rows = [state_diagnostics(stepper, state)]
     nsteps = int(round(t_end / dt))

@@ -1,5 +1,5 @@
-"""Moment extraction, the Navier-Stokes-Poisson closure, and the energy
-functionals."""
+"""Moment extraction, the Navier-Stokes-Poisson closure, and the v1
+derivative."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from mvpb.collision import transport_coefficients
 from mvpb.errors import CFLViolation, Instability
 from mvpb.green import SpaceGrid
 from mvpb.moments import (MomentState, NSPEvolver, apply_v1_derivative,
-                          energy_functionals, extract_moments,
-                          kinetic_moment_trajectory, nsp_acoustic_speeds,
-                          nsp_damping_coefficients, nsp_symbol, solve_field)
+                          extract_moments, kinetic_moment_trajectory,
+                          nsp_acoustic_speeds, nsp_damping_coefficients,
+                          nsp_symbol)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ def test_kinetic_vs_nsp_trajectory(ops16, ops24):
     ts = [20.0, 30.0]
     kin = kinetic_moment_trajectory(op0, grid, prof, ts)
     tc = transport_coefficients(*ops16)
-    ev = NSPEvolver(grid, tc["kappa1"], tc["kappa2"], nonlinear_terms=False)
+    ev = NSPEvolver(grid, tc["kappa1"], tc["kappa2"])
     st = MomentState(grid, prof, 0 * grid.x, 0 * grid.x)
     _, fluid = ev.evolve(st, 30.0, 0.05, out_ts=ts)
     for k, f in zip(kin, fluid):
@@ -153,23 +153,3 @@ def test_apply_v1_derivative_quadratic(bases16):
     d2 = apply_v1_derivative(b0, f[None, :], order=2)[0]
     assert np.max(np.abs(d2 + 3.0)) <= 1e-8
 
-
-def test_energy_functionals_zero(bases16, grid):
-    b0, _ = bases16
-    f = np.zeros((grid.nx, b0.n))
-    out = energy_functionals(b0, grid, f, np.zeros(grid.nx))
-    assert out["E"] == 0.0
-    assert out["H"] == 0.0
-    assert out["D"] == 0.0
-
-
-def test_energy_functionals_positive(bases16, grid, rng):
-    b0, _ = bases16
-    f = np.outer(bump(grid.x), rng.standard_normal(b0.n))
-    phi = solve_field(grid, f @ (b0.invariants[0] * b0.w))
-    out = energy_functionals(b0, grid, f, phi)
-    assert out["E"] > 0
-    assert out["H"] > 0
-    assert out["D"] > 0
-    # H omits the zeroth-order macro block that E contains
-    assert out["H"] <= out["E"]
