@@ -152,7 +152,7 @@ def study_nsp_compare(cfg, man):
     path = os.path.join(man.out_dir, "nsp_compare.csv")
     write_csv(path, ["t", "rel_l2_error"], rows)
     man.add_file(path)
-    man.add_constant("nsp_final_rel_error", rows[-1][1])
+    man.add_constant("nsp_final_rel_error", rows[int(np.argmax(ts))][1])
 
 
 def study_nonlinear(cfg, man):
@@ -309,6 +309,12 @@ def main(argv=None):
             raise ConfigError(
                 f"{cfg.study} needs at least one positive time "
                 f"(times = {cfg.times})")
+        if cfg.study == "nsp-compare" and any(
+                abs(t - round(t / cfg.dt) * cfg.dt) > 1e-9 * t
+                for t in cfg.sample_times()):
+            raise ConfigError(
+                f"nsp-compare samples at whole steps: every time must be a "
+                f"multiple of dt = {cfg.dt} (times = {cfg.times})")
     except (ConfigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -241,10 +241,11 @@ class KineticWaves:
         (1 + eta^2) Theta_k = -(J_k, chi0),   J_k(0) = g if k = 0 else 0
 
     integrated step by step (length WAVE_INTERVAL, plus an edge at every
-    requested time).  Every level takes the same update: the source from
-    the level below at WAVE_NODES Gauss nodes, interpolated by a polynomial
-    and integrated exactly against the exponential, so the only error is
-    that interpolation; level 0 has a zero source.
+    requested time).  Level 0 is the damped free flow, propagated exactly.
+    Every higher level takes the same update: the source from the level
+    below at WAVE_NODES Gauss nodes, interpolated by a polynomial and
+    integrated exactly against the exponential, so the only error is that
+    interpolation.
     """
 
     def __init__(self, op: CollisionOperator, grid: SpaceGrid, seeds, out_ts,
@@ -296,11 +297,12 @@ class KineticWaves:
             if h not in tables:
                 tables[h] = _step_table(c, h)
             E, W = tables[h]
-            F = np.zeros((WAVE_NODES, ns, grid.nh, n), dtype=complex)
-            for Jk in J_start:
-                J = Jk * E[:, None] + np.einsum("dqkn,qskn->dskn", W, F)
+            J = J_start[0] * E[:, None]
+            J_start[0] = J[-1]
+            for Jk in J_start[1:]:
+                J = Jk * E[:, None] + np.einsum("dqkn,qskn->dskn", W,
+                                                source(J[:-1]))
                 Jk[...] = J[-1]
-                F = source(J[:-1])
             self._record(t1, J_start)
 
     def _record(self, t, J_levels):

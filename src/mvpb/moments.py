@@ -2,13 +2,14 @@
 
 The closure evolves density, momentum and heat moments with viscosity and
 heat-conduction coefficients taken from the kinetic quadratic forms, the
-field coupling solved each step, and an IMEX arrangement: diffusion exactly
-in frequency space, transport and coupling with an explicit midpoint step.
+linearized field coupling folded into its frequency symbol, and an IMEX
+arrangement per Fourier mode: diffusion exactly, transport and coupling with
+an explicit midpoint step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,25 +28,15 @@ CFL = 0.9
 
 @dataclass
 class MomentState:
-    """Macroscopic fields on one spatial grid."""
+    """Density, momentum and heat moments on one spatial grid."""
 
-    grid: SpaceGrid
     n: np.ndarray
     m1: np.ndarray
     q: np.ndarray
-    phi: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.phi is None:
-            self.phi = solve_field(self.grid, self.n)
-
-    def copy(self):
-        return MomentState(self.grid, self.n.copy(), self.m1.copy(),
-                           self.q.copy(), self.phi.copy())
 
 
 def solve_field(grid: SpaceGrid, n):
-    """Linearized field equation: (I - d_xx) phi = -n.
+    """Linearized field equation: (I - d_xx) φ = -n.
 
     The package's only linear field solve; the nonlinear field iterations
     call it for each frequency-diagonal sweep.
@@ -53,14 +44,14 @@ def solve_field(grid: SpaceGrid, n):
     return grid.to_physical(grid.poisson_coefficients(grid.to_coefficients(-np.asarray(n))))
 
 
-def extract_moments(basis: VelocityBasis, grid: SpaceGrid, f_field):
+def extract_moments(basis: VelocityBasis, f_field):
     """Project a sector-0 velocity field (nx, n) onto the invariants."""
     f = np.asarray(f_field)
     chi = basis.invariants            # rows: mass, momentum, energy
     n = np.real(f @ (chi[0] * basis.w))
     m1 = np.real(f @ (chi[1] * basis.w))
     q = np.real(f @ (chi[2] * basis.w))
-    return MomentState(grid, n, m1, q)
+    return MomentState(n, m1, q)
 
 
 # ---------------------------------------------------------------------- #
@@ -97,10 +88,12 @@ def nsp_damping_coefficients(kappa1, kappa2, coupled=True, eta=1e-3):
 class NSPEvolver:
     """IMEX Strang stepper for the moment closure on a periodic grid.
 
-    Diffusion is applied exactly in frequency space over half steps; the
-    hyperbolic transport and the field coupling use an explicit midpoint
-    rule in between.  The closure is linear (small perturbations): the
-    field solve is linearized and the quadratic field products are left out.
+    Each Fourier mode of (n, m1, q) advances by one 3x3 step matrix
+    G(eta) = D (I + dt A + dt^2/2 A^2) D: exact diffusion D over half steps
+    around an explicit midpoint step of the transport and field coupling
+    A = nsp_symbol(eta, 0, 0).  The closure is linear (small perturbations):
+    the field coupling is the linearized 1/(1 + eta^2) term of A, so no
+    field is solved, and the quadratic field products are left out.
     """
 
     def __init__(self, grid: SpaceGrid, kappa1, kappa2):
@@ -109,58 +102,49 @@ class NSPEvolver:
         self.kappa2 = float(kappa2)
         self.max_speed = float(macro_speeds(0.0).max())
 
-    def _rhs(self, st: MomentState):
-        g = self.grid
-        dphi = g.derivative(solve_field(g, st.n))
-        dm1_x = g.derivative(st.m1)
-        dn = -dm1_x
-        dm1 = -g.derivative(st.n) - ROOT23 * g.derivative(st.q) + dphi
-        dq = -ROOT23 * dm1_x
-        return dn, dm1, dq
-
-    def _diffuse(self, st: MomentState, dt):
-        g = self.grid
-        for name, kap in (("m1", 4.0 * self.kappa1 / 3.0), ("q", self.kappa2)):
-            u = getattr(st, name)
-            c = g.to_coefficients(u) * np.exp(-kap * g.eta ** 2 * dt)
-            setattr(st, name, g.to_physical(c))
-
-    def step(self, st: MomentState, dt):
-        self._diffuse(st, dt / 2.0)
-        dn, dm1, dq = self._rhs(st)
-        mid = MomentState(self.grid, st.n + dt / 2.0 * dn,
-                          st.m1 + dt / 2.0 * dm1, st.q + dt / 2.0 * dq)
-        dn, dm1, dq = self._rhs(mid)
-        st.n = st.n + dt * dn
-        st.m1 = st.m1 + dt * dm1
-        st.q = st.q + dt * dq
-        self._diffuse(st, dt / 2.0)
-        st.phi = solve_field(self.grid, st.n)
-        return st
-
     def evolve(self, state0: MomentState, t_end, dt, out_ts=None):
-        """March to t_end; returns (times, list of MomentState snapshots)."""
-        if dt > CFL * self.grid.dx / self.max_speed:
+        """March to t_end; returns (times, list of MomentState snapshots).
+
+        One snapshot per entry of out_ts (default [t_end]), in the given
+        order, taken at step round(t / dt).
+        """
+        g = self.grid
+        if dt > CFL * g.dx / self.max_speed:
             raise CFLViolation(
                 "dt=%g exceeds advective limit %g"
-                % (dt, CFL * self.grid.dx / self.max_speed))
+                % (dt, CFL * g.dx / self.max_speed))
         nsteps = int(round(t_end / dt))
         out_ts = np.asarray(out_ts if out_ts is not None else [t_end], dtype=float)
-        st = state0.copy()
-        norm0 = float(np.linalg.norm(np.concatenate([st.n, st.m1, st.q])))
-        times, snaps = [], []
+        out_steps = np.rint(out_ts / dt).astype(int)
+        if out_steps.min() < 0 or out_steps.max() > nsteps:
+            raise ValueError("out_ts must lie in [0, t_end]")
+        A = np.array([nsp_symbol(e, 0.0, 0.0) for e in g.eta])
+        # an odd derivative of a real field has no Nyquist content
+        A[-1] = 0.0
+        kap = np.array([0.0, 4.0 * self.kappa1 / 3.0, self.kappa2])
+        D = np.exp(-np.outer(g.eta ** 2 * dt / 2.0, kap))
+        M = np.eye(3) + dt * A + dt ** 2 / 2.0 * (A @ A)
+        G = D[:, :, None] * M * D[:, None, :]
+        c = g.to_coefficients(np.stack([state0.n, state0.m1, state0.q], axis=1),
+                              axis=0)
+        # Parseval weights: the physical norm over sqrt(nx)
+        w = np.full((g.nh, 1), np.sqrt(2.0))
+        w[[0, -1]] = 1.0
+        norm0 = float(np.linalg.norm(w * c))
+        snaps = [None] * len(out_ts)
         for k in range(nsteps + 1):
-            t = k * dt
-            if np.any(np.abs(out_ts - t) < dt / 2.0 + 1e-12):
-                times.append(t)
-                snaps.append(st.copy())
+            hits = np.flatnonzero(out_steps == k)
+            if hits.size:
+                n, m1, q = g.to_physical(c.T)
+                for i in hits:
+                    snaps[i] = MomentState(n, m1, q)
             if k == nsteps:
                 break
-            st = self.step(st, dt)
-            norm = float(np.linalg.norm(np.concatenate([st.n, st.m1, st.q])))
+            c = np.einsum("kij,kj->ki", G, c)
+            norm = float(np.linalg.norm(w * c))
             if not np.isfinite(norm) or norm > 1e3 * (norm0 + 1e-300):
-                raise Instability("norm grew to %.3e at t=%g" % (norm, t))
-        return np.array(times), snaps
+                raise Instability("norm grew to %.3e at t=%g" % (norm, k * dt))
+        return out_steps * dt, snaps
 
 
 def kinetic_moment_trajectory(op: CollisionOperator, grid: SpaceGrid,
@@ -173,7 +157,7 @@ def kinetic_moment_trajectory(op: CollisionOperator, grid: SpaceGrid,
     b = op.basis
     phat = grid.to_coefficients(np.asarray(profile, dtype=float))
     coef = green.green_action(op, grid, b.invariants[0], ts, phat)[0]
-    return [extract_moments(b, grid, grid.to_physical(c, axis=0))
+    return [extract_moments(b, grid.to_physical(c, axis=0))
             for c in coef]
 
 

@@ -112,6 +112,38 @@ def test_zero_times_exit_2(tmp_path, capsys, study):
     assert not os.path.exists(out / "manifest.json")
 
 
+@pytest.mark.parametrize("times", ["1.05", "1,2.01"])
+def test_nsp_compare_off_step_times_exit_2(tmp_path, capsys, times):
+    # dt = 0.1 does not land on these times; the fluid snapshot would be
+    # taken at a different time than the kinetic one
+    out = tmp_path / "run"
+    rc = main(["nsp-compare", "--out", str(out), "--set", f"times={times}",
+               "--set", "n1=8", "--set", "nr=4", "--set", "nx=64"])
+    assert rc == 2
+    assert "multiple of dt" in capsys.readouterr().err
+    assert not os.path.exists(out / "manifest.json")
+
+
+def _nsp_compare_rows(out, times):
+    assert main(["nsp-compare", "--out", str(out), "--set", f"times={times}",
+                 "--set", "n1=8", "--set", "nr=4", "--set", "nx=64"]) == 0
+    with open(out / "nsp_compare.csv", encoding="utf-8") as fh:
+        rows = [tuple(map(float, ln.split(",")))
+                for ln in fh.read().splitlines()[1:]]
+    return rows, _load_manifest(out)["constants"]["nsp_final_rel_error"]
+
+
+@pytest.mark.parametrize("times", ["2,1", "1,1,2"])
+def test_nsp_compare_rows_follow_times(tmp_path, times):
+    ref, ref_final = _nsp_compare_rows(tmp_path / "ref", "1,2")
+    rows, final = _nsp_compare_rows(tmp_path / "run", times)
+    assert [t for t, _ in rows] == [float(t) for t in times.split(",")]
+    errs = dict(ref)
+    for t, err in rows:
+        assert err == pytest.approx(errs[t], rel=1e-12)
+    assert final == pytest.approx(ref_final, rel=1e-12)
+
+
 @pytest.mark.parametrize("times", ["1", "2,2", "0,2,2"])
 def test_waves_single_time_exit_3(tmp_path, times):
     # one distinct positive time cannot fix a decay slope
