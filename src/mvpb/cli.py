@@ -29,7 +29,7 @@ from .spectral import eigen_branches
 from .velocity import VelocityBasis
 
 NUMERICAL_ERRORS = (BranchSwap, NoConvergence, Instability, CFLViolation,
-                    IllConditioned, MemoryBudget, MissingStudy)
+                    IllConditioned, MemoryBudget)
 
 #: studies that drop t = 0 and fit or march over the remaining times
 POSITIVE_TIME_STUDIES = ("waves", "nsp-compare")
@@ -141,7 +141,7 @@ def study_nsp_compare(cfg, man):
     # linear-to-linear comparison: the kinetic reference is the linearized
     # propagator, and the closure is linear too
     ev = NSPEvolver(grid, k1, k2)
-    _, fluid = ev.evolve(kin[0], max(ts), cfg.dt, out_ts=ts)
+    fluid = ev.evolve(kin[0], max(ts), cfg.dt, out_ts=ts)
     rows = []
     for t, k, f in zip(ts, kin[1:], fluid):
         err = np.sqrt(np.mean((k.n - f.n) ** 2) + np.mean((k.m1 - f.m1) ** 2)

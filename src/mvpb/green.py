@@ -144,7 +144,7 @@ class FluidPart:
     """Rank-per-branch low-frequency part of the Green's function.
 
     Synthesizes  sum_j int_{|eta|<r0/2} exp(i x eta + lambda_j t)
-    psi_j <dual psi_j| deta  on the discrete mode set of the grid, one
+    psi_j (psi_j, .)_eta deta  on the discrete mode set of the grid, one
     term per fluid branch of the sector-0 operator.
     """
 
@@ -152,22 +152,11 @@ class FluidPart:
         self.op = op
         self.grid = grid
         self.cut = r0_hat / 2.0
-        b = op.basis
-        sel = grid.eta < self.cut
-        self.mode_idx = np.where(sel)[0]
-        etas = grid.eta[self.mode_idx]
-        bs = eigen_branches_at(op, etas, mu_hat=mu_hat)
+        self.mode_idx = np.where(grid.eta < self.cut)[0]
+        self.etas = grid.eta[self.mode_idx]
+        bs = eigen_branches_at(op, self.etas, mu_hat=mu_hat)
         self.lam = bs.lam                       # (nb, nm)
-        nb, nm = self.lam.shape
         self.psi = bs.psi                       # (nb, nm, n)
-        # dual profile: (g, psi)_eta = (g, dual) in the plain pairing
-        dual = np.array(self.psi, dtype=complex)
-        if b.sector == 0:
-            chi0 = b.invariants[0]
-            s = 1.0 / (1.0 + etas ** 2)
-            mass = self.psi @ (chi0 * b.w)
-            dual = dual + (s[None, :] * mass)[:, :, None] * chi0[None, None, :]
-        self.dual = dual
         self.amp = 1.0 / (2.0 * grid.L)
 
     def mode_coefficients(self, t, g, left=None, right=None):
@@ -177,7 +166,7 @@ class FluidPart:
         if right == "micro":
             g = b.project(g, "micro")
         coef = np.zeros((self.grid.nh, b.n), dtype=complex)
-        load = self.dual @ (b.w * g)            # (nb, nm)
+        load = b.inner_eta(self.psi, g, self.etas)      # (nb, nm)
         phases = np.exp(self.lam * t)
         psi = self.psi
         if left is not None:

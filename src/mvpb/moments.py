@@ -103,7 +103,7 @@ class NSPEvolver:
         self.max_speed = float(macro_speeds(0.0).max())
 
     def evolve(self, state0: MomentState, t_end, dt, out_ts=None):
-        """March to t_end; returns (times, list of MomentState snapshots).
+        """March to t_end; returns the list of MomentState snapshots.
 
         One snapshot per entry of out_ts (default [t_end]), in the given
         order, taken at step round(t / dt).
@@ -144,7 +144,7 @@ class NSPEvolver:
             norm = float(np.linalg.norm(w * c))
             if not np.isfinite(norm) or norm > 1e3 * (norm0 + 1e-300):
                 raise Instability("norm grew to %.3e at t=%g" % (norm, k * dt))
-        return out_steps * dt, snaps
+        return snaps
 
 
 def kinetic_moment_trajectory(op: CollisionOperator, grid: SpaceGrid,

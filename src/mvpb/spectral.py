@@ -352,39 +352,39 @@ def zero_mode_count(ops, tol=1e-6):
 # ---------------------------------------------------------------------- #
 
 class MicroResolvent:
-    """Rational representation of the micro-space resolvent at fixed eta.
+    """Micro-space resolvent pairings at fixed eta.
 
-    Diagonalizes  C = L - i eta v1  restricted to the micro subspace (in
-    the operator's micro eigenbasis, op.micro_spectrum) once, after which
-    every pairing
+    In the operator's micro eigenbasis (op.micro_spectrum) the restriction
+    of L - i eta v1 to the micro subspace is C = diag(lam) - i eta Vm with
+    Vm = (Q w)^T (v1 Q), a complex symmetric matrix.  Every pairing
 
         R(sigma) = ((L + i eta sigma - i eta P1 v1)^{-1} P1 v1 E_src, v1 E_tst)
 
-    is a sum of simple poles, evaluable in O(n) together with its
-    sigma-derivative.
+    and its sigma-derivative come from one symmetric solve per sigma.
     """
 
     def __init__(self, op: CollisionOperator, eta, sources, tests):
         b = op.basis
         self.eta = float(eta)
         lam, Q = op.micro_spectrum()
-        Vm = (Q * b.w[:, None]).T @ (b.v1[:, None] * Q)
-        C = np.diag(lam).astype(complex) - 1j * eta * Vm
-        d, X = scipy.linalg.eig(C)
-        cond = np.linalg.cond(X)
-        if cond > 1e10:
-            raise IllConditioned(f"micro resolvent eigenbasis cond={cond:.2e}")
-        self.poles = d
-        src = (Q * b.w[:, None]).T @ (b.v1 * np.asarray(sources)).T   # (nm, ns)
-        tst = (Q * b.w[:, None]).T @ (b.v1 * np.asarray(tests)).T
-        self.weights = np.einsum("lk,lj->kjl", np.linalg.solve(X, src), X.T @ tst)
+        Qw = Q * b.w[:, None]
+        self.C = np.diag(lam) - 1j * eta * (Qw.T @ (b.v1[:, None] * Q))
+        self.src = Qw.T @ (b.v1 * np.asarray(sources)).T      # (nm, ns)
+        self.tst = Qw.T @ (b.v1 * np.asarray(tests)).T
 
     def eval(self, sigma):
-        """R[k, j](sigma) for source k, test j, with d/dsigma."""
-        den = self.poles + 1j * self.eta * sigma
-        R = (self.weights / den).sum(axis=-1)
-        dR = (-1j * self.eta * self.weights / den ** 2).sum(axis=-1)
-        return R, dR
+        """R[k, j](sigma) for source k, test j, with d/dsigma.
+
+        With A = C + i eta sigma = A^T and Y = A^{-1} [src | tst]:
+        R = Y_src^T tst and dR = -i eta Y_src^T Y_tst.  A singular A raises
+        LinAlgError.
+        """
+        ns = self.src.shape[1]
+        A = self.C + 1j * self.eta * sigma * np.eye(len(self.C))
+        Y = scipy.linalg.solve(A, np.hstack([self.src, self.tst]),
+                               assume_a="sym")
+        Ys, Yt = Y[:, :ns], Y[:, ns:]
+        return Ys.T @ self.tst, -1j * self.eta * (Ys.T @ Yt)
 
 
 def dispersion_shear(op1: CollisionOperator, eta):
@@ -510,46 +510,52 @@ def eta_operator_norm(basis, A, eta, chol=None):
     """Operator norm of A in the eta-weighted L2 geometry."""
     Lc = np.linalg.cholesky(basis.eta_metric(eta)) if chol is None else chol
     M = Lc.T @ A
-    M = scipy.linalg.solve_triangular(Lc, M.T, lower=True, trans="T").T
+    M = scipy.linalg.solve_triangular(Lc, M.T, lower=True).T
     return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+#: largest eigenvalue condition number for which semigroup_split forms the
+#: fluid spectral projectors; above it S1 = 0 and S2 = S
+EIGEN_COND_MAX = 1e9
 
 
 def semigroup_split(op: CollisionOperator, eta, ts, r0_hat, mu_hat=None):
     """Split exp(t B(eta)) into the fluid rank-nb part and the remainder.
 
-    Returns dict with S(t), S1(t), S2(t) (arrays over ts) and their
-    eta-metric operator norms.  S1 collects the spectral projectors of the
-    eigenvalues with Re > -mu_hat/2 and is zero for |eta| > r0_hat.
+    Returns dict with S(t), S1(t), S2(t) (arrays over ts), their
+    eta-metric operator norms and the largest eigenvalue condition number
+    ``eigbasis_cond``.  S(t) is the propagator of the real form.  S1 and S2
+    are spectral sums over the eigenvalues with Re > -mu_hat/2 and the rest;
+    W_eta B is complex symmetric, so the dual of an eigenvector v is
+    W_eta v / (v, v)_eta.  S1 is zero for |eta| > r0_hat.
     """
     b = op.basis
     if mu_hat is None:
         mu_hat = op.micro_gap()
     perm = b.reflection
     Br = real_form(mode_matrix(op, eta), perm)
-    w, Vr = scipy.linalg.eig(Br)
-    # V = U Vr and V^-1 = Vr^-1 U*; U is unitary, so cond(V) = cond(Vr)
-    cond = np.linalg.cond(Vr)
-    V = from_real_form(Vr, perm)
-    Vi = None
-    if cond < 1e9:
-        Vi = to_real_form(np.linalg.inv(Vr), perm, axis=1)
     ts = np.asarray(ts, dtype=float)
-    chol = np.linalg.cholesky(b.eta_metric(eta))
+    # exp(t B) = U exp(t B_r) U*, applied to the identity
+    S = from_real_form(
+        propagate(Br, to_real_form(np.eye(b.n), perm), ts), perm, axis=1)
+    W = b.eta_metric(eta)
+    w, Vr = scipy.linalg.eig(Br)
+    V = from_real_form(Vr, perm)
+    WV = W @ V
+    c = np.sum(V * WV, axis=0)
+    cond = float(np.max(np.linalg.norm(V, axis=0) * np.linalg.norm(WV, axis=0)
+                        / np.abs(c)))
+    dual = (WV / c).T
+    chol = np.linalg.cholesky(W)
 
     def spectral_sum(sel):
-        """(V[:, sel] e^{w[sel] t}) Vi[sel] for every t in ts."""
+        """(V[:, sel] e^{w[sel] t}) dual[sel] for every t in ts."""
         out = np.empty((len(ts), b.n, b.n), dtype=complex)
         for i, t in enumerate(ts):
-            out[i] = (V[:, sel] * np.exp(w[sel] * t)[None, :]) @ Vi[sel, :]
+            out[i] = (V[:, sel] * np.exp(w[sel] * t)[None, :]) @ dual[sel, :]
         return out
 
-    if Vi is not None:
-        S = spectral_sum(slice(None))
-    else:
-        # exp(t B) = U exp(t B_r) U*, applied to the identity
-        S = from_real_form(
-            propagate(Br, to_real_form(np.eye(b.n), perm), ts), perm, axis=1)
-    if abs(eta) <= r0_hat and Vi is not None:
+    if abs(eta) <= r0_hat and cond <= EIGEN_COND_MAX:
         fluid = w.real > -mu_hat / 2.0
         S1 = spectral_sum(fluid)
         # assemble the remainder from the non-fluid spectral sum directly so

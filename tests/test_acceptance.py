@@ -298,7 +298,7 @@ def test_criterion_09_nsp_closure(ops16, tc24):
     out_ts = [20.0, 30.0]
     kin_states = kinetic_moment_trajectory(op0, grid, profile, [0.0] + out_ts)
     ev = NSPEvolver(grid, k1, k2)
-    _, fluid = ev.evolve(kin_states[0], max(out_ts), 0.05, out_ts=out_ts)
+    fluid = ev.evolve(kin_states[0], max(out_ts), 0.05, out_ts=out_ts)
     rel = 0.0
     for k, f in zip(kin_states[1:], fluid):
         err = np.sqrt(np.mean((k.n - f.n) ** 2) + np.mean((k.m1 - f.m1) ** 2)

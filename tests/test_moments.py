@@ -99,7 +99,7 @@ def test_nsp_mass_conservation(grid):
     ev = NSPEvolver(grid, 0.18, 0.45)
     st = MomentState(bump(grid.x), 0 * grid.x, 0 * grid.x)
     mass0 = st.n.sum() * grid.dx
-    _, snaps = ev.evolve(st, 10.0, 0.05, out_ts=[5.0, 10.0])
+    snaps = ev.evolve(st, 10.0, 0.05, out_ts=[5.0, 10.0])
     for s in snaps:
         assert abs(s.n.sum() * grid.dx - mass0) <= 1e-10
 
@@ -132,8 +132,8 @@ def test_nsp_evolver_matches_physical_imex(grid):
     n, m1, q = bump(x), 0.5 * bump(x - 5.0), -0.2 * bump(x + 3.0)
     dt, steps = 0.05, (50, 200)
     ev = NSPEvolver(grid, 0.18, 0.45)
-    _, snaps = ev.evolve(MomentState(n, m1, q), steps[-1] * dt, dt,
-                         out_ts=[k * dt for k in steps])
+    snaps = ev.evolve(MomentState(n, m1, q), steps[-1] * dt, dt,
+                      out_ts=[k * dt for k in steps])
     ref, refs = (n, m1, q), []
     for k in range(1, steps[-1] + 1):
         ref = _physical_imex_step(grid, 0.18, 0.45, *ref, dt)
@@ -180,7 +180,7 @@ def test_kinetic_vs_nsp_trajectory(ops16, ops24):
     tc = transport_coefficients(*ops16)
     ev = NSPEvolver(grid, tc["kappa1"], tc["kappa2"])
     st = MomentState(prof, 0 * grid.x, 0 * grid.x)
-    _, fluid = ev.evolve(st, 30.0, 0.05, out_ts=ts)
+    fluid = ev.evolve(st, 30.0, 0.05, out_ts=ts)
     for k, f in zip(kin, fluid):
         num = np.linalg.norm(np.concatenate(
             [k.n - f.n, k.m1 - f.m1, k.q - f.q]))

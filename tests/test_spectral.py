@@ -406,13 +406,76 @@ def test_green_action_matches_expm(ops16, rng):
 
 
 def test_semigroup_split_expm_fallback(ops16, monkeypatch):
-    # an eigenbasis too ill-conditioned to invert falls back to the
-    # propagator of the real form, which must give the same S(t)
+    # eigenvalues too ill-conditioned for the spectral projectors leave
+    # S1 = 0 and S2 = S, with S(t) the same propagator of the real form
     op0 = ops16[0]
     ts = [0.0, 1.0, 2.5, 5.0]
     ref = spectral.semigroup_split(op0, 0.3, ts, r0_hat=0.5)
-    monkeypatch.setattr(np.linalg, "cond", lambda V: 1e12)
+    monkeypatch.setattr(spectral, "EIGEN_COND_MAX", 0.0)
     out = spectral.semigroup_split(op0, 0.3, ts, r0_hat=0.5)
     assert np.max(out["norm_S1"]) == 0.0
     assert np.max(np.abs(out["S"] - ref["S"])) <= 1e-10
     assert np.max(np.abs(out["S2"] - out["S"])) == 0.0
+
+
+# --------------------------------------------------------------------- #
+# duals from the eta-pairing, micro resolvent by symmetric solves
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("eta", [0.1, 2.0])
+def test_eta_operator_norm_matches_definition(bases16, rng, eta):
+    # ||A||_eta = sup ||A f||_W / ||f||_W = sqrt(max eig(W^-1 A^H W A))
+    b = bases16[0]
+    A = rng.standard_normal((b.n, b.n)) + 1j * rng.standard_normal((b.n, b.n))
+    W = b.eta_metric(eta)
+    want = np.sqrt(np.max(np.abs(scipy.linalg.eigvals(
+        np.linalg.solve(W, A.conj().T @ W @ A)))))
+    got = spectral.eta_operator_norm(b, A, eta)
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.3])
+def test_semigroup_contracts_in_eta_norm(ops16, eta):
+    out = spectral.semigroup_split(ops16[0], eta, [0.5, 1.0, 5.0, 20.0],
+                                   r0_hat=0.5)
+    assert np.max(out["norm_S"]) <= 1.0 + 1e-9
+
+
+def _pole_sum_resolvent(op, eta, sources, tests, sigma):
+    """Pairings R, dR from a diagonalisation of the micro-space matrix C."""
+    b = op.basis
+    lam, Q = op.micro_spectrum()
+    Qw = Q * b.w[:, None]
+    C = np.diag(lam) - 1j * eta * (Qw.T @ (b.v1[:, None] * Q))
+    d, X = scipy.linalg.eig(C)
+    src = Qw.T @ (b.v1 * np.asarray(sources)).T
+    tst = Qw.T @ (b.v1 * np.asarray(tests)).T
+    weights = np.einsum("lk,lj->kjl", np.linalg.solve(X, src), X.T @ tst)
+    den = d + 1j * eta * sigma
+    return ((weights / den).sum(axis=-1),
+            (-1j * eta * weights / den ** 2).sum(axis=-1))
+
+
+@pytest.mark.parametrize("eta", [0.2, 0.7])
+@pytest.mark.parametrize("sector", [0, 1])
+def test_micro_resolvent_matches_pole_sum(ops16, eta, sector):
+    op = ops16[sector]
+    b = op.basis
+    E = spectral.macro_eigenvectors(b, eta) if sector == 0 else b.invariants
+    res = spectral.MicroResolvent(op, eta, E, E)
+    for sigma in (0.3 + 0.1j, -1.2, 1.6 - 0.05j):
+        R, dR = res.eval(sigma)
+        R0, dR0 = _pole_sum_resolvent(op, eta, E, E, sigma)
+        assert np.max(np.abs(R - R0)) <= 1e-10 * np.max(np.abs(R0))
+        assert np.max(np.abs(dR - dR0)) <= 1e-10 * np.max(np.abs(dR0))
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.5])
+def test_semigroup_fluid_projector(ops16, eta):
+    # S1(0) is the rank-3 spectral projector onto the fluid branches
+    op0 = ops16[0]
+    P = spectral.semigroup_split(op0, eta, [0.0], r0_hat=1.0)["S1"][0]
+    B = spectral.mode_matrix(op0, eta)
+    assert np.max(np.abs(P @ P - P)) <= 1e-10
+    assert np.max(np.abs(P @ B - B @ P)) <= 1e-10
+    assert abs(np.trace(P) - 3.0) <= 1e-10
