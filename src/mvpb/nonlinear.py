@@ -4,8 +4,10 @@ The perturbation system is advanced by a Strang split: the stiff linear
 part (collisions, streaming, linear field response) uses exact per-mode
 propagators; the quadratic terms (field products, bilinear collision
 operator, nonlinear field correction) use an explicit midpoint rule in
-physical space.  The bilinear collision operator is a dense third-order
-tensor over the velocity nodes, built once by quadrature and cached.
+physical space.  The bilinear collision operator is a third-order tensor
+over the velocity nodes, built once by quadrature on half the output nodes
+and kept, cached and applied as three parity blocks of the reflection
+v1 -> -v1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .collision import CollisionOperator, cache_path, load_array, store_array
 from .errors import CFLViolation, Instability, MemoryBudget, NoConvergence
 from .green import SpaceGrid, linear_log_fit
 from .moments import CFL, apply_v1_derivative, solve_field
-from .spectral import from_real_form, mode_matrix, real_form, to_real_form
+from .spectral import (SQRT2, from_real_form, mode_matrix, real_form,
+                       to_real_form)
 from .velocity import VelocityBasis, macro_speeds, maxwellian
 
 
@@ -30,9 +33,14 @@ from .velocity import VelocityBasis, macro_speeds, maxwellian
 # ---------------------------------------------------------------------- #
 
 def _bary_weights(nodes):
-    w = np.ones(len(nodes))
-    for i in range(len(nodes)):
+    """Barycentric weights; on a node set with nodes = -nodes[::-1] they
+    are exactly mirrored, w[n-1-i] = (-1)^(n-1) w[i]."""
+    n = len(nodes)
+    w = np.ones(n)
+    for i in range(n):
         w[i] = 1.0 / np.prod(nodes[i] - np.delete(nodes, i))
+    if np.array_equal(nodes, -nodes[::-1]):
+        w[n - n // 2:] = (-1) ** (n - 1) * w[:n // 2][::-1]
     return w
 
 
@@ -49,12 +57,24 @@ def _bary_matrix(nodes, bw, pts):
     return out
 
 
+def _mirror_v1(basis: VelocityBasis):
+    """Node v1 coordinates made exactly odd under the reflection P.
+
+    The basis nodes are mirror-symmetric only to round-off (1.8e-15 at
+    n1 = 16); the interpolation near the box corners amplifies that about
+    1e5-fold.  The Gamma rule runs on these averaged coordinates, so that
+    it maps onto itself under P to round-off and a half sweep reproduces
+    the full one.
+    """
+    return 0.5 * (basis.v1 - basis.v1[basis.reflection])
+
+
 class _TensorInterp:
     """Product barycentric interpolation on the (v1, vr) node grid."""
 
     def __init__(self, basis: VelocityBasis):
         self.n1, self.nr = basis.n1, basis.nr
-        self.v1 = basis.v1.reshape(self.n1, self.nr)[:, 0]
+        self.v1 = _mirror_v1(basis).reshape(self.n1, self.nr)[:, 0]
         self.vr = basis.vr.reshape(self.n1, self.nr)[0, :]
         self.b1 = _bary_weights(self.v1)
         self.br = _bary_weights(self.vr)
@@ -103,20 +123,34 @@ def _gamma_quadrature(basis: VelocityBasis):
     (0, pi) is kept, x2 in w_star.  PHI_STAR_NODES and OMEGA_THETA_NODES
     must be even: an odd count puts nodes at cos(theta) = 0 or phi* = pi
     that are their own images, which the doubled weight counts twice.
+
+    The reduced rule still maps onto itself under the reflection
+    P: v1 -> -v1 of the output node, v* and omega: v* runs over every
+    node, and (w1, w2, w3) -> (-w1, w2, w3) is omega -> -omega followed by
+    an azimuth shift of pi, which the even OMEGA_PHI_NODES midpoint rule
+    maps onto itself.  It does so in floating point too: the v1 coordinates
+    are _mirror_v1, the shifted azimuths negate cos and sin exactly, and
+    the v1 barycentric weights are mirrored exactly.  build_gamma therefore
+    sweeps only half the output nodes (_gamma_node_tensor).
     """
     phis = (np.arange(PHI_STAR_NODES // 2) + 0.5) * 2.0 * np.pi / PHI_STAR_NODES
     ct, wt = leggauss(OMEGA_THETA_NODES)
     ct, wt = ct[OMEGA_THETA_NODES // 2:], 2.0 * wt[OMEGA_THETA_NODES // 2:]
-    pho = (np.arange(OMEGA_PHI_NODES) + 0.5) * 2.0 * np.pi / OMEGA_PHI_NODES
+    # the second half of the omega azimuths is the first shifted by pi,
+    # with cos and sin negated exactly
+    pho = (np.arange(OMEGA_PHI_NODES // 2) + 0.5) * 2.0 * np.pi \
+        / OMEGA_PHI_NODES
+    cph = np.concatenate([np.cos(pho), -np.cos(pho)])
+    sph = np.concatenate([np.sin(pho), -np.sin(pho)])
     st = np.sqrt(1.0 - ct ** 2)
     omega = np.stack([
         np.repeat(ct, OMEGA_PHI_NODES),
-        np.outer(st, np.cos(pho)).ravel(),
-        np.outer(st, np.sin(pho)).ravel(),
+        np.outer(st, cph).ravel(),
+        np.outer(st, sph).ravel(),
     ], axis=1)                                           # (n_om, 3)
     w_omega = np.repeat(wt, OMEGA_PHI_NODES) * (2.0 * np.pi / OMEGA_PHI_NODES)
     # v* in 3-D for each (node, phi*)
-    v1s = np.repeat(basis.v1, len(phis))
+    v1s = np.repeat(_mirror_v1(basis), len(phis))
     vrs = np.repeat(basis.vr, len(phis))
     phs = np.tile(phis, basis.n)
     vstar = np.stack([v1s, vrs * np.cos(phs), vrs * np.sin(phs)], axis=1)
@@ -133,8 +167,8 @@ def _gamma_quadrature(basis: VelocityBasis):
                                       np.empty((len(vstar), basis.n)))}
 
 
-def _gamma_sweep(basis: VelocityBasis, quad):
-    """Chunks of the collision quadrature at every output node.
+def _gamma_sweep(basis: VelocityBasis, quad, nodes):
+    """Chunks of the collision quadrature at the given output nodes.
 
     Yields (i, star, cw, Ap, As) for output node i and one chunk of its
     (v*, omega) points: star is the v* index of each point, cw its weight
@@ -145,9 +179,11 @@ def _gamma_sweep(basis: VelocityBasis, quad):
     """
     vstar, omega, interp = quad["vstar"], quad["omega"], quad["interp"]
     star_of_q = np.repeat(np.arange(len(vstar)), len(omega))
-    nodes3 = np.stack([basis.v1, basis.vr, np.zeros(basis.n)], axis=1)
+    nodes3 = np.stack([_mirror_v1(basis), basis.vr, np.zeros(basis.n)],
+                      axis=1)
     buf_p, buf_s = np.empty((2, min(GAMMA_CHUNK, len(star_of_q)), basis.n))
-    for i, v in enumerate(nodes3):
+    for i in nodes:
+        v = nodes3[i]
         proj = (v[None, :] - vstar) @ omega.T                # (ns, nom)
         vp = (v[None, None, :] - proj[:, :, None] * omega).reshape(-1, 3)
         vps = (vstar[:, None, :] + proj[:, :, None] * omega).reshape(-1, 3)
@@ -175,38 +211,26 @@ def _invariant_cleanup(basis: VelocityBasis, arr):
     return arr - np.tensordot(chi.T, load, axes=(1, 0))
 
 
-@dataclass
-class GammaTensor:
-    tensor: np.ndarray          # (n, n, n), symmetric in the last two axes
-    tag: tuple
-    build_seconds: float = 0.0  # 0.0 when loaded from the cache
+def _mirror_half(basis: VelocityBasis):
+    """Output nodes that build_gamma sweeps: i <= P[i] for the reflection P.
+
+    One node of each mirror pair, and every node with v1 = 0 (n1 odd).
+    """
+    return np.flatnonzero(np.arange(basis.n) <= basis.reflection)
 
 
-def build_gamma(basis: VelocityBasis, cache_dir=None):
-    """Dense node tensor of the bilinear collision operator (sector m=0).
+def _gamma_node_tensor(basis: VelocityBasis):
+    """Dense node tensor T[i, j, k] of the bilinear operator.
 
-    T[i, j, k] is the coefficient of node i in the operator applied to the
-    (j, k) node pair, symmetrized in (j, k) and projected off the
-    invariants.  With cache_dir, the tensor is stored there under its tag
-    (grid and quadrature sizes) in a file named by the grid alone, and
-    loaded when the file's tag matches; a file with another tag (an older
-    quadrature) or a damaged file is rebuilt in place.
-    Raises MemoryBudget when n^3 exceeds GAMMA_MEMORY_CAP.
+    The quadrature runs only at the output nodes _mirror_half(basis); the
+    other rows are their reflections.  The reflection P: v1 -> -v1 maps
+    the rule onto itself (_gamma_quadrature), so T[Pi, Pj, Pk] =
+    T[i, j, k], and the loss row of Pi is that of i with P applied.  The
+    symmetrization, the invariant cleanup and the rank-one correction
+    below commute with P (every invariant is even or odd in v1).
     """
     n = basis.n
-    if n ** 3 > GAMMA_MEMORY_CAP:
-        raise MemoryBudget("gamma tensor would need %d entries (cap %d)"
-                           % (n ** 3, GAMMA_MEMORY_CAP))
-    # the last entry is the rule version: change it with the quadrature
-    tag = (basis.n1, basis.nr, basis.vmax, PHI_STAR_NODES,
-           OMEGA_THETA_NODES, OMEGA_PHI_NODES, 3)
-    path = cache_path(cache_dir, "gamma", tag[:3]) if cache_dir else None
-    if path:
-        T = load_array(path, tag, (n, n, n))
-        if T is not None:
-            return GammaTensor(T, tag)
-
-    t_start = time.time()
+    perm = basis.reflection
     quad = _gamma_quadrature(basis)
     # All square-root-Maxwellian factors reduce in closed form: with
     # F = sqrtM f, G = sqrtM g the gain products carry
@@ -216,9 +240,13 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
     # entries O(1) and the apply path well conditioned.
     T = np.zeros((n, n, n))
     loss = np.zeros((n, n))
-    for i, star, cw, Ap, As in _gamma_sweep(basis, quad):
+    swept = _mirror_half(basis)
+    for i, star, cw, Ap, As in _gamma_sweep(basis, quad, swept):
         T[i] += (As * cw[:, None]).T @ Ap
         loss[i] += cw @ quad["ell_star"][star]
+    rest = np.setdiff1d(np.arange(n), swept)
+    T[rest] = T[perm[rest]][:, perm][:, :, perm]
+    loss[rest] = loss[perm[rest]][:, perm]
     for i in range(n):
         T[i] = 0.5 * (T[i] + T[i].T)
         T[i, :, i] -= 0.5 * loss[i]
@@ -232,37 +260,184 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
     ew = e * basis.w
     r = np.einsum("ijk,j,k->i", T, e, e)
     T -= np.einsum("i,j,k->ijk", r, ew, ew)
+    return T
+
+
+# ---------------------------------------------------------------------- #
+# parity pair basis of the reflection
+# ---------------------------------------------------------------------- #
+
+def _mirror_pairs(perm):
+    """(lo, fix): node i of each mirror pair i < P[i], and nodes with P[i] = i."""
+    idx = np.arange(len(perm))
+    return idx[idx < perm], idx[idx == perm]
+
+
+def _to_pairs(x, perm, axis=-1):
+    """Coordinates of node vectors along axis in the orthonormal pair basis.
+
+    The coordinates are [even | odd]: e = (x_i + x_Pi)/sqrt2 for each pair
+    i < P[i], then e = x_i for each node with P[i] = i, then
+    o = (x_i - x_Pi)/sqrt2 for each pair.
+    """
+    lo, fix = _mirror_pairs(perm)
+    a = np.take(x, lo, axis=axis)
+    b = np.take(x, perm[lo], axis=axis)
+    return np.concatenate([(a + b) / SQRT2, np.take(x, fix, axis=axis),
+                           (a - b) / SQRT2], axis=axis)
+
+
+def _from_pairs(c, perm, axis=-1):
+    """Node vectors along axis from their pair coordinates (_to_pairs)."""
+    lo, fix = _mirror_pairs(perm)
+    npair, ne = len(lo), len(lo) + len(fix)
+    out = np.empty_like(c)
+    src, dst = np.moveaxis(c, axis, 0), np.moveaxis(out, axis, 0)
+    dst[lo] = (src[:npair] + src[ne:]) / SQRT2
+    dst[perm[lo]] = (src[:npair] - src[ne:]) / SQRT2
+    dst[fix] = src[npair:ne]
+    return out
+
+
+@dataclass
+class GammaTensor:
+    """Bilinear collision tensor in the parity pair basis of the reflection.
+
+    In the pair coordinates of _to_pairs (ne even, no odd) only the blocks
+    with an even number of odd indices survive: EEE, EOO, OEO and OOE, the
+    last the transpose of OEO in its two input axes.  blocks holds EEE,
+    EOO and OEO, ne^3 + 2 ne no^2 entries (3/8 of n^3 for even n1), each
+    input-major: X[b, a, c] for output coordinate a and input pair (b, c),
+    so that the first argument contracts in one GEMM.
+    """
+
+    blocks: tuple               # (ne, ne, ne), (no, ne, no), (ne, no, no)
+    perm: np.ndarray            # the reflection v1 -> -v1 of the nodes
+    tag: tuple
+    build_seconds: float = 0.0  # 0.0 when loaded from the cache
+
+    @property
+    def tensor(self):
+        """The dense (n, n, n) node tensor, assembled from the blocks;
+        exactly invariant under (P, P, P)."""
+        eee, eoo, oeo = (X.transpose(1, 0, 2) for X in self.blocks)
+        E, O = slice(None, len(eee)), slice(len(eee), None)
+        T = np.zeros((len(self.perm),) * 3)
+        T[E, E, E], T[E, O, O], T[O, E, O] = eee, eoo, oeo
+        T[O, O, E] = oeo.transpose(0, 2, 1)
+        for axis in range(3):
+            T = _from_pairs(T, self.perm, axis)
+        return T
+
+
+def _parity_blocks(T, perm):
+    """GammaTensor.blocks of a dense (n, n, n) tensor; its other blocks,
+    zero up to round-off, are dropped."""
+    for axis in range(3):
+        T = _to_pairs(T, perm, axis)
+    ne = len(perm) - len(_mirror_pairs(perm)[0])
+    E, O = slice(None, ne), slice(ne, None)
+    return tuple(np.ascontiguousarray(T[a, b, c].transpose(1, 0, 2))
+                 for a, b, c in ((E, E, E), (E, O, O), (O, E, O)))
+
+
+def build_gamma(basis: VelocityBasis, cache_dir=None):
+    """Bilinear collision tensor of sector m=0, as parity blocks.
+
+    T[i, j, k] is the coefficient of node i in the operator applied to the
+    (j, k) node pair, symmetrized in (j, k) and projected off the
+    invariants (_gamma_node_tensor); it is kept as the three blocks of
+    GammaTensor.  With cache_dir, the blocks are stored there, flat and in
+    order, under their tag (grid and quadrature sizes, rule version) in a
+    file named by the grid alone, and loaded when the file's tag matches;
+    a file with another tag (an older quadrature or layout) or a damaged
+    file is rebuilt in place.
+    Raises MemoryBudget when n^3 exceeds GAMMA_MEMORY_CAP: the build holds
+    the dense tensor.
+    """
+    n = basis.n
+    if n ** 3 > GAMMA_MEMORY_CAP:
+        raise MemoryBudget("gamma tensor would need %d entries (cap %d)"
+                           % (n ** 3, GAMMA_MEMORY_CAP))
+    # the last entry is the rule version: change it with the quadrature or
+    # the stored layout
+    tag = (basis.n1, basis.nr, basis.vmax, PHI_STAR_NODES,
+           OMEGA_THETA_NODES, OMEGA_PHI_NODES, 4)
+    perm = basis.reflection
+    path = cache_path(cache_dir, "gamma", tag[:3]) if cache_dir else None
+    if path:
+        no = len(_mirror_pairs(perm)[0])
+        ne = n - no
+        shapes = ((ne, ne, ne), (no, ne, no), (ne, no, no))
+        sizes = [int(np.prod(s)) for s in shapes]
+        flat = load_array(path, tag, (sum(sizes),))
+        if flat is not None:
+            parts = np.split(flat, np.cumsum(sizes)[:-1])
+            return GammaTensor(tuple(p.reshape(s)
+                                     for p, s in zip(parts, shapes)),
+                               perm, tag)
+
+    t_start = time.time()
+    blocks = _parity_blocks(_gamma_node_tensor(basis), perm)
     built = time.time() - t_start
     if path:
-        store_array(path, tag, T)
-    return GammaTensor(T, tag, built)
+        store_array(path, tag, np.concatenate([X.ravel() for X in blocks]))
+    return GammaTensor(blocks, perm, tag, built)
 
 
-def _apply_gamma_raw(T, f2, g2):
-    n = T.shape[0]
-    # out[x, i] = sum_{jk} T[i, j, k] f[x, j] g[x, k]
-    A = f2 @ T.transpose(1, 0, 2).reshape(n, n * n)
-    return np.einsum("xik,xk->xi", A.reshape(-1, n, n), g2)
+#: entries of the largest per-chunk apply intermediate (rows x ne^2)
+GAMMA_APPLY_ENTRIES = 1 << 20
+
+
+def _block(X, x, y):
+    """sum_{bc} X[b, a, c] x[r, b] y[r, c] for every row r."""
+    nb, na, nc = X.shape
+    A = (x @ X.reshape(nb, na * nc)).reshape(len(x), na, nc)
+    return (A @ y[:, :, None])[:, :, 0]
+
+
+def _apply_pairs(blocks, cf, cg):
+    """Pair coordinates of Gamma(f, g) from those of f and g (cg None: g = f)."""
+    eee, eoo, oeo = blocks
+    ne = len(eee)
+    ef, of = cf[:, :ne], cf[:, ne:]
+    if cg is None:
+        even = _block(eee, ef, ef) + _block(eoo, of, of)
+        odd = 2.0 * _block(oeo, ef, of)
+    else:
+        eg, og = cg[:, :ne], cg[:, ne:]
+        # the even part averages both argument orders and the odd part sums
+        # both cross terms, so Gamma(f, g) and Gamma(g, f) agree exactly
+        even = 0.5 * ((_block(eee, ef, eg) + _block(eoo, of, og))
+                      + (_block(eee, eg, ef) + _block(eoo, og, of)))
+        odd = _block(oeo, ef, og) + _block(oeo, eg, of)
+    return np.concatenate([even, odd], axis=1)
 
 
 def apply_gamma(gamma: GammaTensor, f, g):
     """Symmetric bilinear application on (..., n) node fields.
 
-    The two contraction orders are averaged so the bilinear symmetry holds
-    exactly in floating point, not just up to contraction roundoff.
+    f and g map to their pair coordinates, each parity block contracts in
+    one GEMM and one batched mat-vec over row chunks of at most
+    GAMMA_APPLY_ENTRIES intermediate entries, and the result maps back.
+    Gamma(f, g) and Gamma(g, f) agree exactly in floating point.
     """
-    T = gamma.tensor
-    n = T.shape[0]
+    perm = gamma.perm
+    n = len(perm)
     same = f is g
     f = np.asarray(f)
     g = np.asarray(g)
     shape = np.broadcast_shapes(f.shape, g.shape)
-    f2 = np.broadcast_to(f, shape).reshape(-1, n)
-    g2 = np.broadcast_to(g, shape).reshape(-1, n)
-    out = _apply_gamma_raw(T, f2, g2)
-    if not same:
-        out = 0.5 * (out + _apply_gamma_raw(T, g2, f2))
-    return out.reshape(shape)
+    cf = _to_pairs(np.broadcast_to(f, shape).reshape(-1, n), perm)
+    cg = None if same else \
+        _to_pairs(np.broadcast_to(g, shape).reshape(-1, n), perm)
+    out = np.empty(cf.shape, dtype=np.result_type(f, g, float))
+    step = max(1, GAMMA_APPLY_ENTRIES // len(gamma.blocks[0]) ** 2)
+    for r0 in range(0, len(out), step):
+        sl = slice(r0, r0 + step)
+        out[sl] = _apply_pairs(gamma.blocks, cf[sl],
+                               None if same else cg[sl])
+    return _from_pairs(out, perm).reshape(shape)
 
 
 def gamma_direct(basis: VelocityBasis, f, g):
@@ -284,7 +459,7 @@ def gamma_direct(basis: VelocityBasis, f, g):
     P_star = quad["ell_star"] @ P                        # (ns, m+1)
     Q_star = quad["ell_star"] @ Q
     acc = np.zeros((basis.n, P.shape[1]))
-    for i, star, cw, Ap, As in _gamma_sweep(basis, quad):
+    for i, star, cw, Ap, As in _gamma_sweep(basis, quad, range(basis.n)):
         bracket = ((As @ P) * (Ap @ Q) + (Ap @ P) * (As @ Q)
                    - P_star[star] * Q[i][None, :]
                    - P[i][None, :] * Q_star[star])

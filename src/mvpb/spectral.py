@@ -527,7 +527,9 @@ def semigroup_split(op: CollisionOperator, eta, ts, r0_hat, mu_hat=None):
     ``eigbasis_cond``.  S(t) is the propagator of the real form.  S1 and S2
     are spectral sums over the eigenvalues with Re > -mu_hat/2 and the rest;
     W_eta B is complex symmetric, so the dual of an eigenvector v is
-    W_eta v / (v, v)_eta.  S1 is zero for |eta| > r0_hat.
+    W_eta v / (v, v)_eta.  For |eta| > r0_hat, S1 is zero and S2 = S
+    whatever the spectrum: no eigensolve is made and ``eigbasis_cond`` is
+    None.
     """
     b = op.basis
     if mu_hat is None:
@@ -539,31 +541,24 @@ def semigroup_split(op: CollisionOperator, eta, ts, r0_hat, mu_hat=None):
     S = from_real_form(
         propagate(Br, to_real_form(np.eye(b.n), perm), ts), perm, axis=1)
     W = b.eta_metric(eta)
-    w, Vr = scipy.linalg.eig(Br)
-    V = from_real_form(Vr, perm)
-    WV = W @ V
-    c = np.sum(V * WV, axis=0)
-    cond = float(np.max(np.linalg.norm(V, axis=0) * np.linalg.norm(WV, axis=0)
-                        / np.abs(c)))
-    dual = (WV / c).T
     chol = np.linalg.cholesky(W)
-
-    def spectral_sum(sel):
-        """(V[:, sel] e^{w[sel] t}) dual[sel] for every t in ts."""
-        out = np.empty((len(ts), b.n, b.n), dtype=complex)
-        for i, t in enumerate(ts):
-            out[i] = (V[:, sel] * np.exp(w[sel] * t)[None, :]) @ dual[sel, :]
-        return out
-
-    if abs(eta) <= r0_hat and cond <= EIGEN_COND_MAX:
-        fluid = w.real > -mu_hat / 2.0
-        S1 = spectral_sum(fluid)
-        # assemble the remainder from the non-fluid spectral sum directly so
-        # its norm stays meaningful far below the S - S1 cancellation floor
-        S2 = spectral_sum(~fluid)
-    else:
-        S1 = np.zeros_like(S)
-        S2 = S.copy()
+    S1, S2, cond = np.zeros_like(S), S.copy(), None
+    if abs(eta) <= r0_hat:
+        w, Vr = scipy.linalg.eig(Br)
+        V = from_real_form(Vr, perm)
+        WV = W @ V
+        c = np.sum(V * WV, axis=0)
+        cond = float(np.max(np.linalg.norm(V, axis=0)
+                            * np.linalg.norm(WV, axis=0) / np.abs(c)))
+        dual = (WV / c).T
+        if cond <= EIGEN_COND_MAX:
+            fluid = w.real > -mu_hat / 2.0
+            # the remainder is the non-fluid spectral sum itself, so its
+            # norm stays meaningful far below the S - S1 cancellation floor
+            for i, t in enumerate(ts):
+                Ve = V * np.exp(w * t)[None, :]
+                S1[i] = Ve[:, fluid] @ dual[fluid]
+                S2[i] = Ve[:, ~fluid] @ dual[~fluid]
     return {
         "ts": ts, "S": S, "S1": S1, "S2": S2,
         "norm_S": np.array([eta_operator_norm(b, s, eta, chol) for s in S]),

@@ -321,6 +321,84 @@ def test_gamma_cache_other_tag_rebuilt(tmp_path):
     assert np.array_equal(_tiny_gamma(tmp_path).tensor, first.tensor)
 
 
+def test_gamma_cache_payload_is_three_blocks(tmp_path):
+    # n1 even: EEE, EOO and OEO hold 3 (n/2)^3 entries, 3/8 of n^3
+    gamma = _tiny_gamma(tmp_path)
+    (path,) = [os.path.join(tmp_path, f) for f in os.listdir(tmp_path)]
+    payload = os.path.getsize(path) - len(collision._cache_prefix(gamma.tag))
+    n = len(gamma.perm)
+    assert payload == 8 * (3 * n ** 3 // 8)
+
+
+def test_gamma_cache_dense_rule3_file_rebuilt(tmp_path):
+    # a dense tensor of the previous storage at the grid's path is not
+    # read as blocks
+    first = _tiny_gamma(tmp_path)
+    (path,) = [os.path.join(tmp_path, f) for f in os.listdir(tmp_path)]
+    collision.store_array(path, first.tag[:-1] + (3,), first.tensor)
+    again = _tiny_gamma(tmp_path)
+    assert again.build_seconds > 0
+    assert np.array_equal(again.tensor, first.tensor)
+    assert _tiny_gamma(tmp_path).build_seconds == 0.0
+
+
+@pytest.fixture(scope="module")
+def gamma32(cache_dir):
+    b = VelocityBasis(8, 4, 8.0, 0)
+    return b, build_gamma(b, cache_dir=cache_dir)
+
+
+def test_gamma_reflection_equivariant(gamma32):
+    b, gamma = gamma32
+    P = b.reflection
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((6, b.n))
+    g = rng.standard_normal((6, b.n))
+    fP, gP = f[..., P], g[..., P]
+    # both the f != g path and the f is g path
+    for (x, y), (xP, yP) in (((f, g), (fP, gP)), ((f, f), (fP, fP))):
+        want = apply_gamma(gamma, x, y)[..., P]
+        got = apply_gamma(gamma, xP, yP)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    T = gamma.tensor
+    assert np.array_equal(T[P][:, P][:, :, P], T)
+
+
+def test_gamma_rule_mirror_exact_at_corner(bases16):
+    # the corner rows, where |T| is largest, amplify any mirror asymmetry
+    # of the rule about 1e5-fold (1.2e-10 of max |T| with the basis's own
+    # v1 nodes); the reflected half sweep relies on the rule being exact
+    b = bases16[0]
+    P = b.reflection
+    quad = nonlinear._gamma_quadrature(b)
+    rows = {0: 0.0, P[0]: 0.0}
+    for i, star, cw, Ap, As in nonlinear._gamma_sweep(b, quad, list(rows)):
+        rows[i] = rows[i] + (As * cw[:, None]).T @ Ap
+    mirrored = rows[0][P][:, P]
+    assert np.abs(rows[P[0]] - mirrored).max() <= 1e-13 * np.abs(mirrored).max()
+
+
+def test_gamma_odd_n1_half_sweep_matches_full_sweep(monkeypatch):
+    # n1 = 5 puts nodes on v1 = 0, which P fixes: they are even-only
+    b = VelocityBasis(5, 2, 8.0, 0)
+    assert np.any(b.reflection == np.arange(b.n))
+    gamma = build_gamma(b)
+    T = gamma.tensor
+    P = b.reflection
+    assert np.array_equal(T[P][:, P][:, :, P], T)
+    monkeypatch.setattr(nonlinear, "_mirror_half",
+                        lambda basis: np.arange(basis.n))
+    full = nonlinear._gamma_node_tensor(b)
+    assert np.abs(T - full).max() <= 1e-13 * np.abs(full).max()
+    rng = np.random.default_rng(5)
+    fs = rng.standard_normal((5, b.n))
+    gs = rng.standard_normal((5, b.n))
+    direct = gamma_direct(b, fs, gs)
+    scale = np.linalg.norm(fs, axis=1) * np.linalg.norm(gs, axis=1)
+    err = np.abs(apply_gamma(gamma, fs, gs) - direct).max(axis=1) / scale
+    assert err.max() <= 1e-6
+
+
 def test_gamma_tensor_matches_direct_quadrature(tmp_path):
     # the tensor assembly against the direct sum over the same sweep
     b = VelocityBasis(4, 2, 8.0, 0)

@@ -418,6 +418,20 @@ def test_semigroup_split_expm_fallback(ops16, monkeypatch):
     assert np.max(np.abs(out["S2"] - out["S"])) == 0.0
 
 
+def test_semigroup_split_beyond_fluid_radius_skips_eigensolve(ops16,
+                                                             monkeypatch):
+    # S1 is zero beyond r0_hat whatever the spectrum, so no eigensolve runs
+    def no_eig(*args, **kwargs):
+        raise AssertionError("eigensolve beyond the fluid radius")
+
+    monkeypatch.setattr(scipy.linalg, "eig", no_eig)
+    out = spectral.semigroup_split(ops16[0], 2.0, [0.0, 1.0, 5.0],
+                                   r0_hat=0.5)
+    assert out["eigbasis_cond"] is None
+    assert np.max(np.abs(out["S1"])) == 0.0
+    assert np.array_equal(out["S2"], out["S"])
+
+
 # --------------------------------------------------------------------- #
 # duals from the eta-pairing, micro resolvent by symmetric solves
 # --------------------------------------------------------------------- #
