@@ -20,7 +20,7 @@ from .collision import CollisionOperator, transport_coefficients
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .errors import (BranchSwap, CFLViolation, IllConditioned, Instability,
                      MemoryBudget, MissingStudy, NoConvergence)
-from .green import KineticWaves, SpaceGrid, linear_log_fit, weighted_field_norm
+from .green import KineticWaves, SpaceGrid, linear_log_fit
 from .manifest import RunManifest, load_manifest, write_csv
 from .moments import (NSPEvolver, kinetic_moment_trajectory,
                       nsp_acoustic_speeds, nsp_damping_coefficients)
@@ -89,7 +89,7 @@ def study_green(cfg, man):
     for part, field in (("full", syn["coef"]), ("low", syn["low"]),
                         ("high", syn["high"])):
         phys = grid.to_physical(field, axis=2)
-        sup = np.abs(weighted_field_norm(b, phys)).max(axis=-1)[0]
+        sup = np.abs(b.norm(phys)).max(axis=-1)[0]
         for t, s in zip(ts, sup):
             rows.append((part, t, s))
     path = os.path.join(man.out_dir, "green_norms.csv")
@@ -113,7 +113,7 @@ def study_waves(cfg, man):
     amps = []
     for it, t in enumerate(ts):
         phys = grid.to_physical(kw.wave_sum[:, it], axis=1)
-        sup = float(weighted_field_norm(b, phys).max())
+        sup = float(b.norm(phys).max())
         rows.append((t, sup))
         amps.append(sup)
     slope, _, r2 = linear_log_fit(ts, amps)

@@ -66,9 +66,9 @@ def _cache_prefix(header):
     return _CACHE_MAGIC + np.uint32(len(head)).tobytes() + head
 
 
-def cache_path(cache_dir, stem, header):
-    """File name <stem>_<hash of the JSON header>.bin in cache_dir."""
-    key = hashlib.sha256(_header_bytes(header)).hexdigest()[:24]
+def cache_path(cache_dir, stem, grid):
+    """File name <stem>_<hash of the grid as JSON>.bin in cache_dir."""
+    key = hashlib.sha256(_header_bytes(grid)).hexdigest()[:24]
     return os.path.join(cache_dir, f"{stem}_{key}.bin")
 
 
@@ -187,14 +187,17 @@ class CollisionOperator:
     def __init__(self, basis: VelocityBasis, nphi=128, cache_dir=None):
         self.basis = basis
         self.nphi = int(nphi)
-        km = None
-        if cache_dir is not None:
-            km = load_array(self._cache_path(cache_dir), self._cache_header(),
-                            (basis.n, basis.n))
+        # the grid's one cache file; its header adds nphi and the format,
+        # and a file with another header is rebuilt
+        grid = (basis.sector, basis.n1, basis.nr, basis.vmax)
+        header = {"sector": basis.sector, "n1": basis.n1, "nr": basis.nr,
+                  "vmax": basis.vmax, "nphi": self.nphi, "fmt": 2}
+        path = cache_path(cache_dir, "kernel", grid) if cache_dir else None
+        km = load_array(path, header, (basis.n, basis.n)) if path else None
         if km is None:
             km = reduced_kernel(basis, self.nphi)
-            if cache_dir is not None:
-                self._cache_store(cache_dir, km)
+            if path:
+                store_array(path, header, km)
         self.kernel = km
         self.nu = collision_frequency(basis.speed)
         self.nu0 = nu_floor(basis)
@@ -213,19 +216,6 @@ class CollisionOperator:
         WL = 0.5 * (WL + WL.T)
         self.Lmat = WL / w[:, None]
         self._micro = None
-
-    # ------------------------------------------------------------------ #
-
-    def _cache_header(self):
-        b = self.basis
-        return {"sector": b.sector, "n1": b.n1, "nr": b.nr, "vmax": b.vmax,
-                "nphi": self.nphi, "fmt": 2}
-
-    def _cache_path(self, cache_dir):
-        return cache_path(cache_dir, "kernel", self._cache_header())
-
-    def _cache_store(self, cache_dir, km):
-        store_array(self._cache_path(cache_dir), self._cache_header(), km)
 
     # ------------------------------------------------------------------ #
 

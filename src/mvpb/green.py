@@ -23,7 +23,6 @@ from .collision import CollisionOperator
 from .errors import AliasingWarning, IllConditioned
 from .spectral import (eigen_branches_at, from_real_form, mode_matrix,
                        propagate, real_form, to_real_form)
-from .velocity import VelocityBasis
 
 
 class SpaceGrid:
@@ -131,9 +130,8 @@ def synthesize_green(op: CollisionOperator, grid: SpaceGrid, seeds, ts,
             warnings.warn(
                 "Nyquist mode carries %.2e of the spectral energy"
                 % float(ratio.max()), AliasingWarning)
-    low_mask = grid.eta < r0_hat / 2.0
-    low = np.where(low_mask[None, None, :, None], coef, 0.0)
-    return {"coef": coef, "low": low, "high": coef - low, "low_mask": low_mask}
+    low = np.where((grid.eta < r0_hat / 2.0)[None, None, :, None], coef, 0.0)
+    return {"coef": coef, "low": low, "high": coef - low}
 
 
 # ---------------------------------------------------------------------- #
@@ -307,11 +305,6 @@ class KineticWaves:
         c = (self.op.nu[None, :] + 1j * np.outer(self.grid.eta, b.v1))
         amp = 1.0 / (2.0 * self.grid.L)
         return amp * np.exp(-c * t)[None, :, :] * self.seeds[:, None, :]
-
-
-def weighted_field_norm(basis: VelocityBasis, coef_field):
-    """Velocity L2 norm of a (…, n) coefficient field."""
-    return np.sqrt(np.einsum("...i,i->...", np.abs(coef_field) ** 2, basis.w))
 
 
 # ---------------------------------------------------------------------- #

@@ -655,7 +655,6 @@ def state_diagnostics(stepper: NonlinearStepper, state: KineticState):
         "sup_dphi": float(np.abs(dphi).max()),
         "sup_phit": float(np.abs(phit).max()),
         "ratio_f": float((sup_f / r_half).max()),
-        "ratio_dvf": float((sup_dvf / r_half).max()),
         "ratio_field": float(((np.abs(dphi) + np.abs(phit)) / r_one).max()),
     }
 

@@ -266,8 +266,7 @@ def eigen_branches_at(op: CollisionOperator, etas, mu_hat=None):
         Vf = from_real_form(Vr[:, fluid], b.reflection)
         # conjugating overlap in the plain weighted pairing
         ov = np.abs(np.conj(prev) * b.w @ Vf)
-        ov /= (np.linalg.norm(np.sqrt(b.w)[None, :] * prev, axis=1)[:, None]
-               * np.linalg.norm(np.sqrt(b.w)[:, None] * Vf, axis=0)[None, :])
+        ov /= np.outer(b.norm(prev), b.norm(Vf.T))
         assign = np.argmax(ov, axis=1)
         if (len(set(assign.tolist())) != nb
                 or np.any(ov[np.arange(nb), assign] < BRANCH_OVERLAP_MIN)):

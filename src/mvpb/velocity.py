@@ -162,8 +162,9 @@ class VelocityBasis:
         return np.tensordot(np.conj(f) * self.w, np.asarray(g), axes=(-1, -1))
 
     def norm(self, f):
-        """L2 norm in the discrete velocity measure."""
-        return np.sqrt(np.real(self.dot(f, f)))
+        """L2 norm in the discrete velocity measure, sqrt(sum_i |f_i|^2 w_i),
+        over the last axis of stacked (..., n) fields."""
+        return np.sqrt(np.einsum("...i,i->...", np.abs(f) ** 2, self.w))
 
     def mass_component(self, f):
         """Coefficient of f along the (orthonormalized) mass invariant."""

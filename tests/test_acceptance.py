@@ -14,7 +14,7 @@ import pytest
 
 from mvpb.collision import quadratic_form, transport_coefficients
 from mvpb.green import (FluidPart, KineticWaves, SpaceGrid, hump_centers,
-                        linear_log_fit, synthesize_green, weighted_field_norm)
+                        linear_log_fit, synthesize_green)
 from mvpb.moments import (NSPEvolver, kinetic_moment_trajectory,
                           nsp_acoustic_speeds, nsp_damping_coefficients)
 from mvpb.nonlinear import (NonlinearStepper, apply_gamma, decay_study,
@@ -172,7 +172,7 @@ def test_criterion_06_fluid_wave_structure(ops24, fluid24):
         sups = []
         for t in ts:
             f = fp.action(t, seed, left=left, right=right)
-            sups.append(float(weighted_field_norm(b, f).max()))
+            sups.append(float(b.norm(f).max()))
         p, _, _ = linear_log_fit(np.log1p(ts), sups)
         fitted[name] = p
         exps_ok = exps_ok and abs(p - target) <= tol
@@ -223,7 +223,7 @@ def test_criterion_07_kinetic_waves(ops16, wave_grid, waves16):
     # bounded, and decay has set in by the end of the window
     qt = []
     for i, t in enumerate(ts):
-        nrm = weighted_field_norm(b, kw7.top[0, i])
+        nrm = b.norm(kw7.top[0, i])
         qt.append(float((nrm[sel] * np.exp(nu0 * t / 2.0)
                          * (1.0 + grid.eta[sel]) ** 2).max()))
     qt = np.array(qt)
@@ -235,7 +235,7 @@ def test_criterion_07_kinetic_waves(ops16, wave_grid, waves16):
     r2 = syn["coef"][0] - kw3.wave_sum[0]
     qr = []
     for i in range(len(ts)):
-        nrm = weighted_field_norm(b, r2[i])
+        nrm = b.norm(r2[i])
         qr.append(float((nrm[sel] * (1.0 + grid.eta[sel]) ** 2).max()))
     qr = np.array(qr)
     rem_ok = np.all(np.isfinite(qr)) and qr.max() <= 3.0 * qr[0]
@@ -263,7 +263,7 @@ def test_criterion_08_exponential_remainder(ops16, wave_grid, waves16):
     # 6t and the fastest transport front (vmax t), above the ringing floor
     pts_u, pts_v = [], []
     for i, t in enumerate(ts):
-        nrm = weighted_field_norm(b, r2_x[i])
+        nrm = b.norm(r2_x[i])
         sel = (np.abs(grid.x) > 6.0 * t) & (np.abs(grid.x) <= 8.0 * t)
         pts_u.extend(np.abs(grid.x[sel]) + t)
         pts_v.extend(nrm[sel])
@@ -272,7 +272,7 @@ def test_criterion_08_exponential_remainder(ops16, wave_grid, waves16):
     # inside the cone: the non-fluid part minus the wave sum decays in t
     sups = []
     for i, t in enumerate(ts):
-        nrm = weighted_field_norm(b, high_x[i] - wave_x[i])
+        nrm = b.norm(high_x[i] - wave_x[i])
         sel = np.abs(grid.x) <= 6.0 * t
         sups.append(float(nrm[sel].max()))
     slope_in, _, _ = linear_log_fit(ts, sups)

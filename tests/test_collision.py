@@ -195,11 +195,12 @@ def test_kernel_cache_roundtrip(tmp_path):
 
 def test_kernel_cache_file_layout_loads(tmp_path, monkeypatch):
     # a kernel file laid out as magic | u32 header length | JSON header |
-    # float64 payload, under the hash of its header, loads without assembly
+    # float64 payload, under the hash of its grid, loads without assembly
     header = (b'{"fmt": 2, "n1": 4, "nphi": 128, "nr": 2, "sector": 0, '
               b'"vmax": 8.0}')
+    grid = b'[0, 4, 2, 8.0]'                     # sector, n1, nr, vmax
     km = np.arange(64.0).reshape(8, 8)
-    name = "kernel_%s.bin" % hashlib.sha256(header).hexdigest()[:24]
+    name = "kernel_%s.bin" % hashlib.sha256(grid).hexdigest()[:24]
     with open(os.path.join(tmp_path, name), "wb") as fh:
         fh.write(b"MVPBKRN1" + np.uint32(len(header)).tobytes() + header
                  + km.tobytes())
@@ -254,14 +255,16 @@ def test_solve_micro_raises_on_bad_tolerance(ops16):
 
 
 def test_kernel_cache_write_failure_leaves_no_file(tmp_path, monkeypatch):
-    op = CollisionOperator(VelocityBasis(8, 4, 8.0, 0))
+    write_atomic = collision.write_atomic
 
-    def disk_full(*args, **kwargs):
-        raise OSError("disk full")
+    def disk_full_before_rename(path, write):
+        def half_written(fh):
+            write(fh)
+            raise OSError("disk full")
+        write_atomic(path, half_written)
 
-    # the magic and header are written, then the payload conversion fails
-    monkeypatch.setattr(np, "ascontiguousarray", disk_full)
+    # the whole file is written, then the write fails before the rename
+    monkeypatch.setattr(collision, "write_atomic", disk_full_before_rename)
     with pytest.raises(OSError):
-        op._cache_store(str(tmp_path), op.kernel)
-    assert not os.path.exists(op._cache_path(str(tmp_path)))
+        CollisionOperator(VelocityBasis(8, 4, 8.0, 0), cache_dir=str(tmp_path))
     assert os.listdir(tmp_path) == []

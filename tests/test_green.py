@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from mvpb import green, spectral
 from mvpb.errors import AliasingWarning, IllConditioned
 from mvpb.green import (FluidPart, KineticWaves, SpaceGrid, green_action,
-                        hump_centers, linear_log_fit, synthesize_green,
-                        weighted_field_norm)
+                        hump_centers, linear_log_fit, synthesize_green)
 from mvpb.moments import solve_field
 
 SOUND = np.sqrt(8.0 / 3.0)
@@ -198,12 +197,12 @@ def test_high_frequency_decay(ops16, grid):
         warnings.simplefilter("ignore", AliasingWarning)
         out = synthesize_green(op0, grid, b.invariants[0], ts, r0_hat=1.0,
                                datum=np.ones(grid.nh))
-    norms = weighted_field_norm(b, out["high"][0]).max(axis=1)
+    norms = b.norm(out["high"][0]).max(axis=1)
     slope, _, _ = linear_log_fit(ts, norms)
     assert slope < 0.0
     for etaq in (1.0, 2.0, 4.0):
         k = int(np.argmin(np.abs(grid.eta - etaq)))
-        nk = weighted_field_norm(b, out["coef"][0][:, k, :])
+        nk = b.norm(out["coef"][0][:, k, :])
         sk, _, r2 = linear_log_fit(ts, nk)
         assert sk < -0.1
         assert r2 > 0.99
@@ -296,7 +295,7 @@ def test_wave_frequency_decay(ops16, grid):
     b = op0.basis
     t = 6.0
     kw = KineticWaves(op0, grid, b.invariants[0], [t], levels=7)
-    norms = weighted_field_norm(b, kw.top[0, 0])
+    norms = b.norm(kw.top[0, 0])
     # time-quadrature resolvability: the Picard source oscillates like
     # exp(-i v1 eta s), so only frequencies with a few collocation nodes
     # per oscillation carry trustworthy level-6 values
@@ -322,7 +321,7 @@ def test_fluid_part_humps(ops16):
     b = op0.basis
     t = 40.0
     field = fp.action(t, b.invariants[0])
-    profile = weighted_field_norm(b, field @ b.P0.T)
+    profile = b.norm(field @ b.P0.T)
     expected = np.array([-SOUND * t, 0.0, SOUND * t])
     centers = hump_centers(grid.x, profile, expected, window=8.0)
     assert np.all(np.isfinite(centers))
@@ -342,7 +341,7 @@ def test_fluid_peak_decay_exponent(ops16):
     ts = np.linspace(10.0, 80.0, 8)
     peaks = []
     for t in ts:
-        prof = weighted_field_norm(b, fp.action(t, b.invariants[0]) @ b.P0.T)
+        prof = b.norm(fp.action(t, b.invariants[0]) @ b.P0.T)
         peaks.append(prof.max())
     p, _, r2 = linear_log_fit(np.log1p(ts), peaks)
     assert abs(p + 0.5) <= 0.05
