@@ -89,7 +89,7 @@ def study_green(cfg, man):
     for part, field in (("full", syn["coef"]), ("low", syn["low"]),
                         ("high", syn["high"])):
         phys = grid.to_physical(field, axis=2)
-        sup = np.abs(b.norm(phys)).max(axis=-1)[0]
+        sup = b.norm(phys).max(axis=-1)[0]
         for t, s in zip(ts, sup):
             rows.append((part, t, s))
     path = os.path.join(man.out_dir, "green_norms.csv")

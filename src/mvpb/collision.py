@@ -187,11 +187,11 @@ class CollisionOperator:
     def __init__(self, basis: VelocityBasis, nphi=128, cache_dir=None):
         self.basis = basis
         self.nphi = int(nphi)
-        # the grid's one cache file; its header adds nphi and the format,
-        # and a file with another header is rebuilt
+        # the grid's one cache file; its header adds nphi and the format
+        # (fmt 3: mirror-exact v1 nodes), and another header is rebuilt
         grid = (basis.sector, basis.n1, basis.nr, basis.vmax)
         header = {"sector": basis.sector, "n1": basis.n1, "nr": basis.nr,
-                  "vmax": basis.vmax, "nphi": self.nphi, "fmt": 2}
+                  "vmax": basis.vmax, "nphi": self.nphi, "fmt": 3}
         path = cache_path(cache_dir, "kernel", grid) if cache_dir else None
         km = load_array(path, header, (basis.n, basis.n)) if path else None
         if km is None:

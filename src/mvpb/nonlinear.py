@@ -57,24 +57,12 @@ def _bary_matrix(nodes, bw, pts):
     return out
 
 
-def _mirror_v1(basis: VelocityBasis):
-    """Node v1 coordinates made exactly odd under the reflection P.
-
-    The basis nodes are mirror-symmetric only to round-off (1.8e-15 at
-    n1 = 16); the interpolation near the box corners amplifies that about
-    1e5-fold.  The Gamma rule runs on these averaged coordinates, so that
-    it maps onto itself under P to round-off and a half sweep reproduces
-    the full one.
-    """
-    return 0.5 * (basis.v1 - basis.v1[basis.reflection])
-
-
 class _TensorInterp:
     """Product barycentric interpolation on the (v1, vr) node grid."""
 
     def __init__(self, basis: VelocityBasis):
         self.n1, self.nr = basis.n1, basis.nr
-        self.v1 = _mirror_v1(basis).reshape(self.n1, self.nr)[:, 0]
+        self.v1 = basis.v1.reshape(self.n1, self.nr)[:, 0]
         self.vr = basis.vr.reshape(self.n1, self.nr)[0, :]
         self.b1 = _bary_weights(self.v1)
         self.br = _bary_weights(self.vr)
@@ -128,10 +116,12 @@ def _gamma_quadrature(basis: VelocityBasis):
     P: v1 -> -v1 of the output node, v* and omega: v* runs over every
     node, and (w1, w2, w3) -> (-w1, w2, w3) is omega -> -omega followed by
     an azimuth shift of pi, which the even OMEGA_PHI_NODES midpoint rule
-    maps onto itself.  It does so in floating point too: the v1 coordinates
-    are _mirror_v1, the shifted azimuths negate cos and sin exactly, and
-    the v1 barycentric weights are mirrored exactly.  build_gamma therefore
-    sweeps only half the output nodes (_gamma_node_tensor).
+    maps onto itself.  It does so in floating point too, as the corner
+    interpolation amplifies any asymmetry 1e5-fold: the basis v1 rule is
+    mirror-exact (velocity.gauss_rule), the shifted azimuths negate cos and
+    sin exactly, and the v1 barycentric weights are mirrored exactly.
+    build_gamma therefore sweeps only half the output nodes
+    (_gamma_node_tensor).
     """
     phis = (np.arange(PHI_STAR_NODES // 2) + 0.5) * 2.0 * np.pi / PHI_STAR_NODES
     ct, wt = leggauss(OMEGA_THETA_NODES)
@@ -150,7 +140,7 @@ def _gamma_quadrature(basis: VelocityBasis):
     ], axis=1)                                           # (n_om, 3)
     w_omega = np.repeat(wt, OMEGA_PHI_NODES) * (2.0 * np.pi / OMEGA_PHI_NODES)
     # v* in 3-D for each (node, phi*)
-    v1s = np.repeat(_mirror_v1(basis), len(phis))
+    v1s = np.repeat(basis.v1, len(phis))
     vrs = np.repeat(basis.vr, len(phis))
     phs = np.tile(phis, basis.n)
     vstar = np.stack([v1s, vrs * np.cos(phs), vrs * np.sin(phs)], axis=1)
@@ -179,8 +169,7 @@ def _gamma_sweep(basis: VelocityBasis, quad, nodes):
     """
     vstar, omega, interp = quad["vstar"], quad["omega"], quad["interp"]
     star_of_q = np.repeat(np.arange(len(vstar)), len(omega))
-    nodes3 = np.stack([_mirror_v1(basis), basis.vr, np.zeros(basis.n)],
-                      axis=1)
+    nodes3 = np.stack([basis.v1, basis.vr, np.zeros(basis.n)], axis=1)
     buf_p, buf_s = np.empty((2, min(GAMMA_CHUNK, len(star_of_q)), basis.n))
     for i in nodes:
         v = nodes3[i]
@@ -359,10 +348,10 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
     if n ** 3 > GAMMA_MEMORY_CAP:
         raise MemoryBudget("gamma tensor would need %d entries (cap %d)"
                            % (n ** 3, GAMMA_MEMORY_CAP))
-    # the last entry is the rule version: change it with the quadrature or
-    # the stored layout
+    # the last entry is the rule version: change it with the quadrature, the
+    # nodes or the stored layout
     tag = (basis.n1, basis.nr, basis.vmax, PHI_STAR_NODES,
-           OMEGA_THETA_NODES, OMEGA_PHI_NODES, 4)
+           OMEGA_THETA_NODES, OMEGA_PHI_NODES, 5)
     perm = basis.reflection
     path = cache_path(cache_dir, "gamma", tag[:3]) if cache_dir else None
     if path:

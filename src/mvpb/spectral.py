@@ -8,11 +8,11 @@ variables is generated by
 acting per azimuthal sector (the field coupling P_mass is present only in
 sector 0).
 
-B(eta) has a reflection symmetry.  The reflection P: v1 -> -v1 is an exact
-permutation of the symmetric velocity nodes; it commutes with L,
-anticommutes with v1, and leaves the mass profile chi0 even.  Hence
-conj(B) = P B P, and with the unitary U = (I - iP)/sqrt(2) the matrix
-B_r = U* B U is real.  Every dense per-eta kernel here (the branch
+B(eta) has a reflection symmetry.  The reflection P: v1 -> -v1 maps the
+velocity nodes and weights onto themselves exactly; it commutes with L (to
+round-off, see real_form), anticommutes with v1, and leaves chi0 even.
+Hence conj(B) = P B P, and with the unitary U = (I - iP)/sqrt(2) the
+matrix B_r = U* B U is real.  Every dense per-eta kernel here (the branch
 eigensolves, the spectral-gap and zero-mode scans, the semigroup split),
 green.green_action and the half steps of the nonlinear stepper run on B_r
 in real arithmetic; eigenvectors and propagated vectors map back through
@@ -70,8 +70,8 @@ def real_form(B, perm):
     """Real matrix B_r = U* B U, U = (I - iP)/sqrt(2), P the reflection perm.
 
     Exact for conj(B) = P B P: B_r = Re(((B + PBP) + i(PB - BP))/2).  The
-    dropped imaginary part is the round-off of the node symmetry (a few
-    1e-15 of |B|).
+    dropped imaginary part is round-off: L commutes with P only to ~2e-15
+    of max |L|, as its row sums and invariants are formed in node order.
     """
     R, I = B.real, B.imag
     return 0.5 * (R + R[perm][:, perm] + I[:, perm] - I[perm])

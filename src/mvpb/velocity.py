@@ -34,9 +34,10 @@ def gauss_rule(weight, a, b, n, symmetric=False, npanels=80, order=24):
     Builds the three-term recurrence by the Stieltjes procedure on a fine
     composite Gauss-Legendre discretization of the measure, then solves the
     Jacobi matrix (Golub-Welsch).  Exact for polynomials of degree
-    <= 2n - 1 against the weight.  ``symmetric=True`` zeroes the recurrence
-    diagonal for an even weight on a symmetric interval, which keeps the
-    node set exactly reflection-symmetric.
+    <= 2n - 1 against the weight.  ``symmetric=True`` (an even weight on a
+    symmetric interval) zeroes the recurrence diagonal and averages the
+    nodes and weights of eigh with their mirrors: x[::-1] == -x and
+    w[::-1] == w hold exactly, not just to round-off.
     """
     xg, wg = leggauss(order)
     edges = np.linspace(a, b, npanels + 1)
@@ -57,8 +58,11 @@ def gauss_rule(weight, a, b, n, symmetric=False, npanels=80, order=24):
         beta[k] = b2
         p_prev, p = p, q / np.sqrt(b2)
     off = np.sqrt(beta[:n - 1])
-    lam, U = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
-    return lam, m0 * U[0] ** 2
+    x, U = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    w = m0 * U[0] ** 2
+    if symmetric:
+        x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    return x, w
 
 
 class VelocityBasis:
@@ -100,7 +104,8 @@ class VelocityBasis:
         W1, WR = np.meshgrid(w1, wr, indexing="ij")
 
         #: node index of the reflection v1 -> -v1, (i1, j) <-> (n1-1-i1, j);
-        #: an exact permutation because the v1 rule is symmetric
+        #: exact, since gauss_rule mirrors the v1 rule bit for bit:
+        #: v1[P] == -v1 and w[P] == w
         self.reflection = np.arange(self.n1 * self.nr).reshape(
             self.n1, self.nr)[::-1].ravel()
         self.v1 = V1.ravel()
@@ -162,8 +167,7 @@ class VelocityBasis:
         return np.tensordot(np.conj(f) * self.w, np.asarray(g), axes=(-1, -1))
 
     def norm(self, f):
-        """L2 norm in the discrete velocity measure, sqrt(sum_i |f_i|^2 w_i),
-        over the last axis of stacked (..., n) fields."""
+        """Velocity L2 norm sqrt(sum_i |f_i|^2 w_i) of (..., n) fields."""
         return np.sqrt(np.einsum("...i,i->...", np.abs(f) ** 2, self.w))
 
     def mass_component(self, f):

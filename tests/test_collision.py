@@ -196,7 +196,7 @@ def test_kernel_cache_roundtrip(tmp_path):
 def test_kernel_cache_file_layout_loads(tmp_path, monkeypatch):
     # a kernel file laid out as magic | u32 header length | JSON header |
     # float64 payload, under the hash of its grid, loads without assembly
-    header = (b'{"fmt": 2, "n1": 4, "nphi": 128, "nr": 2, "sector": 0, '
+    header = (b'{"fmt": 3, "n1": 4, "nphi": 128, "nr": 2, "sector": 0, '
               b'"vmax": 8.0}')
     grid = b'[0, 4, 2, 8.0]'                     # sector, n1, nr, vmax
     km = np.arange(64.0).reshape(8, 8)
@@ -212,6 +212,27 @@ def test_kernel_cache_file_layout_loads(tmp_path, monkeypatch):
     op = CollisionOperator(VelocityBasis(4, 2, 8.0, 0),
                            cache_dir=str(tmp_path))
     assert np.array_equal(op.kernel, km)
+
+
+def test_kernel_cache_fmt2_file_rebuilt(tmp_path, monkeypatch):
+    # a kernel of the previous format (nodes mirrored only to round-off)
+    # at the grid's path is not read, and the rebuild replaces it
+    b = VelocityBasis(4, 2, 8.0, 0)
+    first = CollisionOperator(b, cache_dir=str(tmp_path))
+    (path,) = [os.path.join(tmp_path, f) for f in os.listdir(tmp_path)]
+    header = {"fmt": 2, "n1": 4, "nphi": 128, "nr": 2, "sector": 0,
+              "vmax": 8.0}
+    collision.store_array(path, header, first.kernel + 1.0)
+    again = CollisionOperator(b, cache_dir=str(tmp_path))
+    assert np.array_equal(again.kernel, first.kernel)
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("kernel reassembled")
+
+    monkeypatch.setattr(collision, "reduced_kernel", no_assembly)
+    loaded = CollisionOperator(b, cache_dir=str(tmp_path))
+    assert np.array_equal(loaded.kernel, first.kernel)
 
 
 @pytest.mark.parametrize("keep", [10, 40, 200])

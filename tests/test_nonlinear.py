@@ -366,8 +366,9 @@ def test_gamma_reflection_equivariant(gamma32):
 
 def test_gamma_rule_mirror_exact_at_corner(bases16):
     # the corner rows, where |T| is largest, amplify any mirror asymmetry
-    # of the rule about 1e5-fold (1.2e-10 of max |T| with the basis's own
-    # v1 nodes); the reflected half sweep relies on the rule being exact
+    # of the rule about 1e5-fold (1.2e-10 of max |T| with v1 nodes mirrored
+    # only to round-off); the reflected half sweep relies on the rule being
+    # exact
     b = bases16[0]
     P = b.reflection
     quad = nonlinear._gamma_quadrature(b)
