@@ -1,7 +1,8 @@
 """Command-line orchestration of the numerical studies.
 
-Each subcommand runs one study sequentially and writes its outputs plus a
-manifest into the output directory.  Exit codes: 0 success, 2 invalid
+Each subcommand runs one study in one process (only the branch eigensolves
+use more than one thread, see spectral.eig_workers) and writes its outputs
+plus a manifest into the output directory.  Exit codes: 0 success, 2 invalid
 configuration, 3 numerical failure (a manifest is still written in that
 case, flagged as partial).  The cache directory for expensive kernels and
 tensors is taken from the MVPB_CACHE environment variable.
@@ -25,7 +26,7 @@ from .manifest import RunManifest, load_manifest, write_csv
 from .moments import (NSPEvolver, kinetic_moment_trajectory,
                       nsp_acoustic_speeds, nsp_damping_coefficients)
 from .nonlinear import build_gamma, decay_study
-from .spectral import eigen_branches
+from .spectral import blas_threads, eig_workers, eigen_branches
 from .velocity import VelocityBasis
 
 NUMERICAL_ERRORS = (BranchSwap, NoConvergence, Instability, CFLViolation,
@@ -64,6 +65,8 @@ def study_coeffs(cfg, man):
 
 def study_dispersion(cfg, man):
     op0, op1 = _operator(cfg, 0), _operator(cfg, 1)
+    man.timings["eig_workers"] = eig_workers()
+    man.timings["blas_threads"] = blas_threads()
     rows = []
     for op in (op0, op1):
         bs = eigen_branches(op, eta_max=cfg.eta_max, steps=cfg.steps)

@@ -23,7 +23,8 @@ U at O(n) cost per vector.  This module provides
   matrix exponential on the lattice of those times;
 * continuation of the low-frequency eigenvalue branches (two acoustic,
   one thermal in sector 0; one doubly-degenerate shear in sector 1) with
-  bilinear eta-pairing normalization;
+  bilinear eta-pairing normalization, its eigensolves run eig_workers()
+  at a time on threads;
 * the macroscopic long-wave flux matrix (its closed-form eigenvalues and
   eigenvectors, macro_speeds and macro_eigenvectors, live in velocity);
 * scalar dispersion functions whose roots reproduce the branches through
@@ -35,7 +36,11 @@ U at O(n) cost per vector.  This module provides
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import scipy.linalg
@@ -182,6 +187,52 @@ def macro_flux_matrix(eta):
 
 
 # ---------------------------------------------------------------------- #
+# dense eigensolves
+# ---------------------------------------------------------------------- #
+
+#: environment variables BLAS takes its thread count from, first one first
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def blas_threads():
+    """BLAS thread count: the first of BLAS_THREAD_VARS holding a positive
+    integer, or None when none does."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            k = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if k > 0:
+            return k
+    return None
+
+
+def eig_workers():
+    """Threads for concurrent eigensolves: usable CPUs // BLAS threads, >= 1.
+
+    Without a BLAS thread count BLAS uses every CPU (the OpenBLAS default),
+    so one worker: more would oversubscribe the CPUs.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    k = blas_threads()
+    return max(1, cpus // (cpus if k is None else k))
+
+
+def _eig(B):
+    """Eigenvalues and right eigenvectors of a dense matrix, as complex arrays.
+
+    numpy's LAPACK gufunc releases the GIL, so solves on several threads
+    run at once; it returns real arrays when every eigenvalue is real.
+    """
+    w, V = np.linalg.eig(B)
+    return w.astype(complex, copy=False), V.astype(complex, copy=False)
+
+
+# ---------------------------------------------------------------------- #
 # eigenvalue branches
 # ---------------------------------------------------------------------- #
 
@@ -228,6 +279,12 @@ def eigen_branches_at(op: CollisionOperator, etas, mu_hat=None):
     branches are matched step to step by eigenvector overlap and normalized
     in the bilinear eta-pairing.  The continuation stops (recording r0_hat)
     when the fluid count changes or the overlap drops.
+
+    The matrices are built here, in eta order, and only their eigensolves
+    go to a pool of eig_workers() threads, at most that many in flight;
+    the matching consumes them in eta order.  Solves still pending when
+    the continuation stops are cancelled, and the pool is shut down
+    before returning.
     """
     b = op.basis
     if mu_hat is None:
@@ -255,28 +312,41 @@ def eigen_branches_at(op: CollisionOperator, etas, mu_hat=None):
     r0_hat = eta_max
     last = steps
     prev = psi[:, 0, :]
-    for i in range(1, steps):
-        eta = etas[i]
-        w, Vr = scipy.linalg.eig(real_form(mode_matrix(op, eta), b.reflection))
-        fluid = np.where(w.real > -mu_hat / 2.0)[0]
-        if len(fluid) != nb:
-            r0_hat = etas[i - 1]
-            last = i
-            break
-        Vf = from_real_form(Vr[:, fluid], b.reflection)
-        # conjugating overlap in the plain weighted pairing
-        ov = np.abs(np.conj(prev) * b.w @ Vf)
-        ov /= np.outer(b.norm(prev), b.norm(Vf.T))
-        assign = np.argmax(ov, axis=1)
-        if (len(set(assign.tolist())) != nb
-                or np.any(ov[np.arange(nb), assign] < BRANCH_OVERLAP_MIN)):
-            raise BranchSwap(
-                f"sector {b.sector}: ambiguous branch match at eta={eta:.4f} "
-                f"(overlaps {ov[np.arange(nb), assign]})")
-        for j in range(nb):
-            lam[j, i] = w[fluid[assign[j]]]
-            psi[j, i] = _normalize_bilinear(b, Vf[:, assign[j]], eta)
-        prev = psi[:, i, :]
+    workers = eig_workers()
+    matrices = (real_form(mode_matrix(op, eta), b.reflection)
+                for eta in etas[1:])
+    with ThreadPoolExecutor(workers) as pool:
+        solves = deque(pool.submit(_eig, B) for B in islice(matrices, workers))
+        try:
+            for i in range(1, steps):
+                eta = etas[i]
+                w, Vr = solves.popleft().result()
+                solves.extend(pool.submit(_eig, B)
+                              for B in islice(matrices, 1))
+                fluid = np.where(w.real > -mu_hat / 2.0)[0]
+                if len(fluid) != nb:
+                    r0_hat = etas[i - 1]
+                    last = i
+                    break
+                Vf = from_real_form(Vr[:, fluid], b.reflection)
+                # conjugating overlap in the plain weighted pairing
+                ov = np.abs(np.conj(prev) * b.w @ Vf)
+                ov /= np.outer(b.norm(prev), b.norm(Vf.T))
+                assign = np.argmax(ov, axis=1)
+                if (len(set(assign.tolist())) != nb
+                        or np.any(ov[np.arange(nb), assign]
+                                  < BRANCH_OVERLAP_MIN)):
+                    raise BranchSwap(
+                        f"sector {b.sector}: ambiguous branch match at "
+                        f"eta={eta:.4f} "
+                        f"(overlaps {ov[np.arange(nb), assign]})")
+                for j in range(nb):
+                    lam[j, i] = w[fluid[assign[j]]]
+                    psi[j, i] = _normalize_bilinear(b, Vf[:, assign[j]], eta)
+                prev = psi[:, i, :]
+        finally:
+            for solve in solves:
+                solve.cancel()
 
     bs = BranchSet(sector=b.sector, etas=etas[:last], lam=lam[:, :last],
                    psi=psi[:, :last], r0_hat=r0_hat)
@@ -543,7 +613,7 @@ def semigroup_split(op: CollisionOperator, eta, ts, r0_hat, mu_hat=None):
     chol = np.linalg.cholesky(W)
     S1, S2, cond = np.zeros_like(S), S.copy(), None
     if abs(eta) <= r0_hat:
-        w, Vr = scipy.linalg.eig(Br)
+        w, Vr = _eig(Br)
         V = from_real_form(Vr, perm)
         WV = W @ V
         c = np.sum(V * WV, axis=0)

@@ -277,10 +277,13 @@ def study_outputs(tmp_path_factory):
 
 def test_dispersion_constants(study_outputs):
     _, di = study_outputs
-    c = _load_manifest(di)["constants"]
+    doc = _load_manifest(di)
+    c = doc["constants"]
     assert abs(abs(c["beta_1"]) - np.sqrt(8.0 / 3.0)) <= 2e-3
     assert c["a_1"] > 0 and c["a_0"] > 0
     assert (di / "branches.csv").exists()
+    assert doc["timings"]["eig_workers"] >= 1
+    assert "blas_threads" in doc["timings"]
 
 
 def test_report_partial_inputs(study_outputs, tmp_path, capsys):

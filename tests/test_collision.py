@@ -171,13 +171,15 @@ def test_reflection_oracle(ops24, cache_dir):
     chi0, chi1, chi4 = b.invariants
     e_plus = (np.sqrt(3.0) / 4.0 * chi0 + np.sqrt(2.0) / 2.0 * chi1
               + np.sqrt(2.0) / 4.0 * chi4)
-    e_refl = e_plus[b.reflect_index] if hasattr(b, "reflect_index") else None
-    # reflection acts on chi1 with a sign; build it directly instead
+    e_refl = e_plus[b.reflection]
+    # the reflection flips the sign of chi1 only; the invariants come out of
+    # a Gram-Schmidt, so the mirror holds to round-off, not bit for bit
     e_minus = (np.sqrt(3.0) / 4.0 * chi0 - np.sqrt(2.0) / 2.0 * chi1
                + np.sqrt(2.0) / 4.0 * chi4)
+    assert np.max(np.abs(e_refl - e_minus)) <= 1e-15
     a_p = quadratic_form(op0, e_plus, e_plus)
-    a_m = quadratic_form(op0, e_minus, e_minus)
-    assert abs(a_p - a_m) <= 1e-10
+    assert abs(a_p - quadratic_form(op0, e_refl, e_refl)) <= 1e-14
+    assert abs(a_p - quadratic_form(op0, e_minus, e_minus)) <= 1e-10
 
 
 def test_grid_convergence_shear(ops16, ops24):

@@ -2,6 +2,8 @@
 dispersion roots, eigenfunction expansion, and the semigroup split."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -368,6 +370,52 @@ def test_eigen_branches_match_complex_oracle(ops16, monkeypatch):
         assert bs.r0_hat == ref.r0_hat
 
 
+def _branches_with_workers(monkeypatch, workers, op, etas):
+    monkeypatch.setattr(spectral, "eig_workers", lambda: workers)
+    return spectral.eigen_branches_at(op, etas)
+
+
+def test_eigen_branches_same_on_any_worker_count(ops16, monkeypatch):
+    # the pool only runs the eigensolves; the matching stays sequential
+    etas = np.linspace(0.0, 0.5, 33)
+    for op in ops16:
+        one = _branches_with_workers(monkeypatch, 1, op, etas)
+        two = _branches_with_workers(monkeypatch, 2, op, etas)
+        for key in ("lam", "psi", "beta", "damping"):
+            assert np.array_equal(getattr(one, key), getattr(two, key))
+        assert one.r0_hat == two.r0_hat
+
+
+def test_eigen_branches_early_stop_leaves_no_worker(ops16, monkeypatch):
+    # on this grid the sector-0 fluid count changes after eta = 2.55 (n=128),
+    # so the continuation breaks with solves still queued or running
+    etas = np.linspace(0.0, 3.0, 61)
+    one = _branches_with_workers(monkeypatch, 1, ops16[0], etas)
+    threads = threading.active_count()
+    two = _branches_with_workers(monkeypatch, 2, ops16[0], etas)
+    assert threading.active_count() == threads
+    assert one.r0_hat == two.r0_hat < etas[-1]
+    assert np.array_equal(one.lam, two.lam)
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({}, lambda cpus: 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, lambda cpus: cpus),
+    ({"OMP_NUM_THREADS": "2"}, lambda cpus: max(1, cpus // 2)),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"},
+     lambda cpus: cpus),
+    ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "2"},
+     lambda cpus: max(1, cpus // 2)),
+])
+def test_eig_workers_from_blas_threads(monkeypatch, env, workers):
+    for var in spectral.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cpus = len(os.sched_getaffinity(0))
+    assert spectral.eig_workers() == workers(cpus)
+
+
 def test_real_form_branch_pairs_are_exact(ops16):
     # conj(B) = P B P makes the spectrum closed under conjugation, and a real
     # eigensolve keeps that exactly: the acoustic pair shares its damping
@@ -426,7 +474,7 @@ def test_semigroup_split_beyond_fluid_radius_skips_eigensolve(ops16,
     def no_eig(*args, **kwargs):
         raise AssertionError("eigensolve beyond the fluid radius")
 
-    monkeypatch.setattr(scipy.linalg, "eig", no_eig)
+    monkeypatch.setattr(spectral, "_eig", no_eig)
     out = spectral.semigroup_split(ops16[0], 2.0, [0.0, 1.0, 5.0],
                                    r0_hat=0.5)
     assert out["eigbasis_cond"] is None
