@@ -142,28 +142,50 @@ def scattering_kernel(v1, vr, v1s, vrs, cosphi):
 
 
 def reduced_kernel(basis, nphi=128):
-    """Azimuthal harmonic of the kernel on all node pairs.
+    """Both azimuthal harmonics of the kernel on all node pairs, (2, n, n).
 
-    k_m(i, j) = int_0^{2 pi} k(v_i, v_j; phi) cos(m phi) dphi   (midpoint rule,
-    spectrally accurate for the periodic integrand).  The diagonal is left at
-    zero; the singularity subtraction supplies it.
+    k_m(i, j) = int_0^{2 pi} k(v_i, v_j; phi) cos(m phi) dphi for m = 0, 1
+    (midpoint rule, spectrally accurate for the periodic integrand).  The
+    two sectors share the node grid, so both come from one evaluation of
+    the kernel, and two symmetries cut that evaluation by four:
+
+    * azimuth: k depends on phi only through cos(phi), and cos(m phi) is
+      even about pi, so the midpoint nodes in (0, pi) carry weight 2 and,
+      for odd nphi, the node at phi = pi weight 1;
+    * rows: k is unchanged when v1 and v1* flip sign together, so the row
+      of the mirror node P[i] (v1 -> -v1) is row i permuted by P.  Only the
+      rows i <= P[i] are evaluated; the v1 nodes are mirror-exact, so the
+      kernel values of a filled row are those of its own evaluation bit for
+      bit, and km[:, P][:, :, P] == km holds exactly.
+
+    The diagonal is left at zero; the singularity subtraction supplies it.
     """
-    v1, vr = basis.v1, basis.vr
-    n = basis.n
-    phi = (np.arange(nphi) + 0.5) * 2.0 * np.pi / nphi
+    v1, vr, n = basis.v1, basis.vr, basis.n
+    half = (nphi + 1) // 2
+    phi = (np.arange(half) + 0.5) * 2.0 * np.pi / nphi
     cph = np.cos(phi)
-    fac = np.cos(basis.sector * phi) * (2.0 * np.pi / nphi)
-    km = np.empty((n, n))
-    chunk = max(1, int(2e6 // (n * nphi)) or 1)
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
+    wphi = np.where(2 * np.arange(half) + 1 == nphi, 1.0, 2.0) \
+        * (2.0 * np.pi / nphi)
+    fac = np.stack([wphi, cph * wphi], axis=1)
+    P = basis.reflection
+    rows = np.flatnonzero(np.arange(n) <= P)
+    km = np.empty((2, n, n))
+    chunk = max(1, int(2e6 // (n * half)))
+    for c0 in range(0, rows.size, chunk):
+        r = rows[c0:c0 + chunk]
         block = scattering_kernel(
-            v1[i0:i1, None, None], vr[i0:i1, None, None],
+            v1[r, None, None], vr[r, None, None],
             v1[None, :, None], vr[None, :, None], cph[None, None, :],
         )
-        km[i0:i1] = block @ fac
-    km = 0.5 * (km + km.T)
-    np.fill_diagonal(km, 0.0)
+        km[:, r] = np.moveaxis(block @ fac, -1, 0)
+    # the GEMM's rounding depends on the row's place in the block, so a row
+    # with v1 = 0 (odd n1, its own mirror) is averaged with its mirror
+    fixed = rows[rows == P[rows]]
+    km[:, fixed] = 0.5 * (km[:, fixed] + km[:, fixed][:, :, P])
+    mirrored = rows[rows < P[rows]]
+    km[:, P[mirrored]] = km[:, mirrored][:, :, P]
+    km = 0.5 * (km + km.transpose(0, 2, 1))
+    km[:, np.arange(n), np.arange(n)] = 0.0
     return km
 
 
@@ -187,17 +209,19 @@ class CollisionOperator:
     def __init__(self, basis: VelocityBasis, nphi=128, cache_dir=None):
         self.basis = basis
         self.nphi = int(nphi)
-        # the grid's one cache file; its header adds nphi and the format
-        # (fmt 3: mirror-exact v1 nodes), and another header is rebuilt
-        grid = (basis.sector, basis.n1, basis.nr, basis.vmax)
-        header = {"sector": basis.sector, "n1": basis.n1, "nr": basis.nr,
-                  "vmax": basis.vmax, "nphi": self.nphi, "fmt": 3}
+        # one cache file per grid holds both harmonics, so either sector's
+        # cold build serves the other; its header adds nphi and the format
+        # (fmt 4: the (2, n, n) pair), and another header is rebuilt
+        grid = (basis.n1, basis.nr, basis.vmax)
+        header = {"n1": basis.n1, "nr": basis.nr, "vmax": basis.vmax,
+                  "nphi": self.nphi, "fmt": 4}
         path = cache_path(cache_dir, "kernel", grid) if cache_dir else None
-        km = load_array(path, header, (basis.n, basis.n)) if path else None
+        km = load_array(path, header, (2, basis.n, basis.n)) if path else None
         if km is None:
             km = reduced_kernel(basis, self.nphi)
             if path:
                 store_array(path, header, km)
+        km = km[basis.sector]
         self.kernel = km
         self.nu = collision_frequency(basis.speed)
         self.nu0 = nu_floor(basis)

@@ -474,21 +474,23 @@ def _field_fixed_point(grid: SpaceGrid, source):
     """Picard iteration x <- solve_field(grid, source(x)) from x = 0.
 
     Solves (I - d_xx) x + source(x) = 0, the form of both field relations.
-    Returns the first iterate whose sup-norm residual is <= FIELD_TOL;
-    raises NoConvergence on a non-finite residual or after FIELD_MAXIT
-    sweeps.
+    Since x_k = solve_field(s_{k-1}), the residual (I - d_xx) x_k + s_k is
+    s_k - s_{k-1} (s_{-1} = 0), read without transforming x.  Returns the
+    first iterate whose sup-norm residual is <= FIELD_TOL; raises
+    NoConvergence on a non-finite residual or after FIELD_MAXIT sweeps.
     """
-    sym = 1.0 + grid.eta ** 2
     x = np.zeros(grid.nx)
+    s_prev = 0.0
     for sweeps in range(FIELD_MAXIT + 1):
         s = source(x)
-        r = np.abs(grid.to_physical(grid.to_coefficients(x) * sym) + s).max()
+        r = np.abs(s - s_prev).max()
         if r <= FIELD_TOL:
             return x
         if sweeps == FIELD_MAXIT or not np.isfinite(r):
             raise NoConvergence("field residual %.2e after %d sweeps"
                                 % (r, sweeps))
         x = solve_field(grid, s)
+        s_prev = s
 
 
 def poisson_newton(grid: SpaceGrid, n):

@@ -591,14 +591,14 @@ EIGEN_COND_MAX = 1e9
 def semigroup_split(op: CollisionOperator, eta, ts, r0_hat, mu_hat=None):
     """Split exp(t B(eta)) into the fluid rank-nb part and the remainder.
 
-    Returns dict with S(t), S1(t), S2(t) (arrays over ts), their
-    eta-metric operator norms and the largest eigenvalue condition number
-    ``eigbasis_cond``.  S(t) is the propagator of the real form.  S1 and S2
-    are spectral sums over the eigenvalues with Re > -mu_hat/2 and the rest;
-    W_eta B is complex symmetric, so the dual of an eigenvector v is
-    W_eta v / (v, v)_eta.  For |eta| > r0_hat, S1 is zero and S2 = S
-    whatever the spectrum: no eigensolve is made and ``eigbasis_cond`` is
-    None.
+    Returns dict with S(t), S1(t), S2(t) (arrays over ts), the eta-metric
+    operator norms ``norm_S2`` of the remainder and the largest eigenvalue
+    condition number ``eigbasis_cond``.  S(t) is the propagator of the
+    real form.  S1 and S2 are spectral sums over the eigenvalues with
+    Re > -mu_hat/2 and the rest; W_eta B is complex symmetric, so the dual
+    of an eigenvector v is W_eta v / (v, v)_eta.  For |eta| > r0_hat, S1 is
+    zero and S2 = S whatever the spectrum: no eigensolve is made and
+    ``eigbasis_cond`` is None.  Other norms come from eta_operator_norm.
     """
     b = op.basis
     if mu_hat is None:
@@ -630,8 +630,6 @@ def semigroup_split(op: CollisionOperator, eta, ts, r0_hat, mu_hat=None):
                 S2[i] = Ve[:, ~fluid] @ dual[~fluid]
     return {
         "ts": ts, "S": S, "S1": S1, "S2": S2,
-        "norm_S": np.array([eta_operator_norm(b, s, eta, chol) for s in S]),
-        "norm_S1": np.array([eta_operator_norm(b, s, eta, chol) for s in S1]),
         "norm_S2": np.array([eta_operator_norm(b, s, eta, chol) for s in S2]),
         "eigbasis_cond": cond,
     }

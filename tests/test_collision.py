@@ -13,7 +13,7 @@ from mvpb.collision import (CollisionOperator, collision_frequency, nu_floor,
                             quadratic_form, transport_coefficients)
 from mvpb.errors import IllConditioned
 from mvpb.nonlinear import build_gamma
-from mvpb.velocity import VelocityBasis
+from mvpb.velocity import VelocityBasis, basis_pair
 
 
 def test_frequency_at_zero():
@@ -195,44 +195,94 @@ def test_kernel_cache_roundtrip(tmp_path):
     assert np.array_equal(op1.kernel, op2.kernel)
 
 
+def _full_rule_kernel(basis, m, nphi):
+    """k_m on every node pair from all nphi azimuth nodes and every row."""
+    v1, vr, n = basis.v1, basis.vr, basis.n
+    phi = (np.arange(nphi) + 0.5) * 2.0 * np.pi / nphi
+    fac = np.cos(m * phi) * (2.0 * np.pi / nphi)
+    km = np.empty((n, n))
+    chunk = max(1, int(2e6 // (n * nphi)))
+    for i0 in range(0, n, chunk):
+        i1 = min(i0 + chunk, n)
+        block = collision.scattering_kernel(
+            v1[i0:i1, None, None], vr[i0:i1, None, None],
+            v1[None, :, None], vr[None, :, None], np.cos(phi)[None, None, :])
+        km[i0:i1] = block @ fac
+    km = 0.5 * (km + km.T)
+    np.fill_diagonal(km, 0.0)
+    return km
+
+
+@pytest.mark.parametrize("nphi", [128, 127])
+@pytest.mark.parametrize("n1, nr", [(8, 4), (16, 8)])
+def test_reduced_kernel_matches_full_rule(n1, nr, nphi):
+    # the half azimuth rule and the mirrored rows give both harmonics of
+    # the full midpoint rule evaluated on every row
+    km = collision.reduced_kernel(VelocityBasis(n1, nr, 8.0, 0), nphi)
+    assert km.shape == (2, n1 * nr, n1 * nr)
+    for m in (0, 1):
+        want = _full_rule_kernel(VelocityBasis(n1, nr, 8.0, m), m, nphi)
+        assert np.max(np.abs(km[m] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n1, nr", [(8, 4), (16, 8), (5, 2)])
+def test_reduced_kernel_mirror_exact(n1, nr):
+    # P (v1 -> -v1) maps the kernel onto itself bit for bit, also for the
+    # v1 = 0 rows of odd n1
+    b = VelocityBasis(n1, nr, 8.0, 0)
+    P = b.reflection
+    km = collision.reduced_kernel(b)
+    assert np.array_equal(km[:, P][:, :, P], km)
+
+
+def _no_assembly(*args, **kwargs):
+    raise AssertionError("kernel reassembled")
+
+
+def test_kernel_cache_one_file_serves_both_sectors(tmp_path, monkeypatch):
+    # a cold sector-0 build stores both harmonics, so sector 1 loads them
+    b0, b1 = basis_pair(8, 4, 8.0)
+    want = CollisionOperator(b1).kernel
+    CollisionOperator(b0, cache_dir=str(tmp_path))
+    assert len(os.listdir(tmp_path)) == 1
+    monkeypatch.setattr(collision, "reduced_kernel", _no_assembly)
+    op1 = CollisionOperator(b1, cache_dir=str(tmp_path))
+    assert np.array_equal(op1.kernel, want)
+
+
 def test_kernel_cache_file_layout_loads(tmp_path, monkeypatch):
     # a kernel file laid out as magic | u32 header length | JSON header |
-    # float64 payload, under the hash of its grid, loads without assembly
-    header = (b'{"fmt": 3, "n1": 4, "nphi": 128, "nr": 2, "sector": 0, '
-              b'"vmax": 8.0}')
-    grid = b'[0, 4, 2, 8.0]'                     # sector, n1, nr, vmax
-    km = np.arange(64.0).reshape(8, 8)
+    # float64 (2, n, n) payload, under the hash of its grid, loads without
+    # assembly; each sector reads its harmonic
+    header = b'{"fmt": 4, "n1": 4, "nphi": 128, "nr": 2, "vmax": 8.0}'
+    grid = b'[4, 2, 8.0]'                        # n1, nr, vmax
+    km = np.arange(128.0).reshape(2, 8, 8)
     name = "kernel_%s.bin" % hashlib.sha256(grid).hexdigest()[:24]
     with open(os.path.join(tmp_path, name), "wb") as fh:
         fh.write(b"MVPBKRN1" + np.uint32(len(header)).tobytes() + header
                  + km.tobytes())
-
-    def no_assembly(*args, **kwargs):
-        raise AssertionError("kernel reassembled")
-
-    monkeypatch.setattr(collision, "reduced_kernel", no_assembly)
-    op = CollisionOperator(VelocityBasis(4, 2, 8.0, 0),
-                           cache_dir=str(tmp_path))
-    assert np.array_equal(op.kernel, km)
+    monkeypatch.setattr(collision, "reduced_kernel", _no_assembly)
+    for sector in (0, 1):
+        op = CollisionOperator(VelocityBasis(4, 2, 8.0, sector),
+                               cache_dir=str(tmp_path))
+        assert np.array_equal(op.kernel, km[sector])
 
 
 def test_kernel_cache_fmt2_file_rebuilt(tmp_path, monkeypatch):
-    # a kernel of the previous format (nodes mirrored only to round-off)
-    # at the grid's path is not read, and the rebuild replaces it
+    # a kernel of an earlier format (fmt 2: nodes mirrored only to
+    # round-off; fmt 3: one sector per file) at the grid's path is not
+    # read, and the rebuild replaces it
     b = VelocityBasis(4, 2, 8.0, 0)
     first = CollisionOperator(b, cache_dir=str(tmp_path))
     (path,) = [os.path.join(tmp_path, f) for f in os.listdir(tmp_path)]
-    header = {"fmt": 2, "n1": 4, "nphi": 128, "nr": 2, "sector": 0,
-              "vmax": 8.0}
-    collision.store_array(path, header, first.kernel + 1.0)
-    again = CollisionOperator(b, cache_dir=str(tmp_path))
-    assert np.array_equal(again.kernel, first.kernel)
-    assert os.listdir(tmp_path) == [os.path.basename(path)]
-
-    def no_assembly(*args, **kwargs):
-        raise AssertionError("kernel reassembled")
-
-    monkeypatch.setattr(collision, "reduced_kernel", no_assembly)
+    for fmt in (2, 3):
+        header = {"fmt": fmt, "n1": 4, "nphi": 128, "nr": 2, "sector": 0,
+                  "vmax": 8.0}
+        collision.store_array(path, header, first.kernel + 1.0)
+        again = CollisionOperator(b, cache_dir=str(tmp_path))
+        assert np.array_equal(again.kernel, first.kernel)
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
+    monkeypatch.setattr(collision, "reduced_kernel", _no_assembly)
     loaded = CollisionOperator(b, cache_dir=str(tmp_path))
     assert np.array_equal(loaded.kernel, first.kernel)
 

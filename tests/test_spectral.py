@@ -245,8 +245,9 @@ def test_semigroup_beyond_fluid_radius(ops24):
     op0 = ops24[0]
     ts = np.linspace(1.0, 20.0, 8)
     out = spectral.semigroup_split(op0, 2.0, ts, r0_hat=0.5)
-    assert np.max(out["norm_S1"]) == 0.0
-    slope, _, _ = linear_log_fit(ts, out["norm_S"])
+    assert np.max(np.abs(out["S1"])) == 0.0
+    norm_S = [spectral.eta_operator_norm(op0.basis, s, 2.0) for s in out["S"]]
+    slope, _, _ = linear_log_fit(ts, norm_S)
     alpha = -slope
     assert alpha > 0
 
@@ -463,7 +464,7 @@ def test_semigroup_split_expm_fallback(ops16, monkeypatch):
     ref = spectral.semigroup_split(op0, 0.3, ts, r0_hat=0.5)
     monkeypatch.setattr(spectral, "EIGEN_COND_MAX", 0.0)
     out = spectral.semigroup_split(op0, 0.3, ts, r0_hat=0.5)
-    assert np.max(out["norm_S1"]) == 0.0
+    assert np.max(np.abs(out["S1"])) == 0.0
     assert np.max(np.abs(out["S"] - ref["S"])) <= 1e-10
     assert np.max(np.abs(out["S2"] - out["S"])) == 0.0
 
@@ -500,9 +501,11 @@ def test_eta_operator_norm_matches_definition(bases16, rng, eta):
 
 @pytest.mark.parametrize("eta", [0.1, 0.3])
 def test_semigroup_contracts_in_eta_norm(ops16, eta):
+    b = ops16[0].basis
     out = spectral.semigroup_split(ops16[0], eta, [0.5, 1.0, 5.0, 20.0],
                                    r0_hat=0.5)
-    assert np.max(out["norm_S"]) <= 1.0 + 1e-9
+    norm_S = [spectral.eta_operator_norm(b, s, eta) for s in out["S"]]
+    assert np.max(norm_S) <= 1.0 + 1e-9
 
 
 def _pole_sum_resolvent(op, eta, sources, tests, sigma):
