@@ -218,10 +218,11 @@ def _full_rule_kernel(basis, m, nphi):
 def test_reduced_kernel_matches_full_rule(n1, nr, nphi):
     # the half azimuth rule and the mirrored rows give both harmonics of
     # the full midpoint rule evaluated on every row
-    km = collision.reduced_kernel(VelocityBasis(n1, nr, 8.0, 0), nphi)
-    assert km.shape == (2, n1 * nr, n1 * nr)
+    b = VelocityBasis(n1, nr, 8.0, 0)
+    km = collision.reduced_kernel(b, nphi)
+    assert km.shape == (2, b.n, b.n)
     for m in (0, 1):
-        want = _full_rule_kernel(VelocityBasis(n1, nr, 8.0, m), m, nphi)
+        want = _full_rule_kernel(b, m, nphi)
         assert np.max(np.abs(km[m] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
