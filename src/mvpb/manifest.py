@@ -50,7 +50,7 @@ class RunManifest:
     def __init__(self, config, out_dir):
         self.config = config
         self.out_dir = out_dir
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
         self.constants = {}
         self.timings = {}
         self.files = []
@@ -76,7 +76,7 @@ class RunManifest:
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
             },
-            "wall_clock_seconds": time.time() - self.t0,
+            "wall_clock_seconds": time.perf_counter() - self.t0,
             "constants": self.constants,
             "timings": self.timings,
             "files": self.files,

@@ -13,7 +13,9 @@ v1 -> -v1.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -23,8 +25,8 @@ from .collision import CollisionOperator, cache_path, load_array, store_array
 from .errors import CFLViolation, Instability, MemoryBudget, NoConvergence
 from .green import SpaceGrid, linear_log_fit
 from .moments import CFL, apply_v1_derivative, solve_field
-from .spectral import (SQRT2, from_real_form, mode_matrix, real_form,
-                       to_real_form)
+from .spectral import (SQRT2, eig_workers, from_real_form, mode_matrix,
+                       real_form, to_real_form)
 from .velocity import VelocityBasis, macro_speeds, maxwellian
 
 
@@ -44,17 +46,35 @@ def _bary_weights(nodes):
     return w
 
 
-def _bary_matrix(nodes, bw, pts):
-    """Rows of Lagrange cardinal values at pts; exact at nodes."""
-    d = pts[:, None] - nodes[None, :]
+def _pairwise_column_sums(c):
+    """Column sums of c, added in the order of numpy's pairwise sum over a
+    contiguous row of len(c) (eight running lanes, a fixed tree, then the
+    rest), without numpy's slow reduction along a short axis.  Far from the
+    nodes the barycentric terms cancel heavily and the corner rows of Gamma
+    amplify their rounding, so this order is part of the tensor's bits."""
+    n = len(c)
+    if n < 8:
+        return c.sum(axis=0)
+    full = n - n % 8
+    r = c[:full].reshape(full // 8, 8, -1).sum(axis=0)
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for k in range(full, n):
+        s += c[k]
+    return s
+
+
+def _bary_terms(nodes, bw, pts):
+    """Barycentric terms c[j, q] = bw[j] / (pts[q] - nodes[j]) and their
+    column sums s: c / s are the Lagrange cardinal values at pts, one column
+    per point.  A point on a node gets the indicator column and s = 1, so it
+    stays exact."""
+    d = pts[None, :] - nodes[:, None]
     exact = np.abs(d) < 1e-13
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = bw[None, :] / d
-        s = c.sum(axis=1)
-        out = c / s[:, None]
-    hit = exact.any(axis=1)
-    out[hit] = exact[hit].astype(float)
-    return out
+        c = np.divide(bw[:, None], d, out=d)
+    hit = exact.any(axis=0)
+    c[:, hit] = exact[:, hit]
+    return c, _pairwise_column_sums(c)
 
 
 class _TensorInterp:
@@ -68,14 +88,25 @@ class _TensorInterp:
         self.br = _bary_weights(self.vr)
         self.vmax = basis.vmax
 
+    def factors(self, p1, pr):
+        """(a1, ar), (n1, npts) and (nr, npts): a1[a, q] ar[b, q] is the
+        cardinal value of node (a, b) at point q, zero outside the box.
+
+        Both normalisations and the box mask sit in the narrow v1 factor,
+        so a per-point weight folds into a1 before any product exists.
+        """
+        inside = (np.abs(p1) <= self.vmax) & (pr <= self.vmax)
+        c1, s1 = _bary_terms(self.v1, self.b1,
+                             np.clip(p1, -self.vmax, self.vmax))
+        cr, sr = _bary_terms(self.vr, self.br, np.clip(pr, 0.0, self.vmax))
+        c1 *= inside / (s1 * sr)
+        return c1, cr
+
     def matrix(self, p1, pr, out):
         """(npts, n) cardinal rows, written into out; zero outside the box."""
-        inside = (np.abs(p1) <= self.vmax) & (pr <= self.vmax)
-        A1 = _bary_matrix(self.v1, self.b1, np.clip(p1, -self.vmax, self.vmax))
-        Ar = _bary_matrix(self.vr, self.br, np.clip(pr, 0.0, self.vmax))
-        np.einsum("qa,qb->qab", A1, Ar,
-                  out=out.reshape(len(p1), self.n1, self.nr))
-        out[~inside] = 0.0
+        a1, ar = self.factors(p1, pr)
+        np.multiply(a1.T[:, :, None], ar.T[:, None, :],
+                    out=out.reshape(len(p1), self.n1, self.nr))
         return out
 
 
@@ -86,8 +117,10 @@ class _TensorInterp:
 #: quadrature of the collision integral: midpoint nodes in the azimuth of v*,
 #: Gauss nodes in the polar cosine of omega times midpoint nodes in its azimuth
 PHI_STAR_NODES, OMEGA_THETA_NODES, OMEGA_PHI_NODES = 16, 12, 24
-#: quadrature points per interpolation chunk of one output node
-GAMMA_CHUNK = 32768
+#: entries of each dense interpolation-row buffer of one output node's
+#: chunk: a larger budget raises the peak memory of a threaded build at
+#: small n, a smaller one adds per-chunk overhead at large n
+GAMMA_CHUNK_ENTRIES = 1 << 18
 #: largest Gamma tensor (entries) that build_gamma will allocate
 GAMMA_MEMORY_CAP = 512 ** 3
 
@@ -157,35 +190,66 @@ def _gamma_quadrature(basis: VelocityBasis):
                                       np.empty((len(vstar), basis.n)))}
 
 
-def _gamma_sweep(basis: VelocityBasis, quad, nodes):
-    """Chunks of the collision quadrature at the given output nodes.
+def _chunk_points(n):
+    """Quadrature points per chunk: GAMMA_CHUNK_ENTRIES rows of n entries."""
+    return max(1, GAMMA_CHUNK_ENTRIES // n)
 
-    Yields (i, star, cw, Ap, As) for output node i and one chunk of its
-    (v*, omega) points: star is the v* index of each point, cw its weight
-    w |(v - v*).omega| sqrtM(v*), and Ap, As the rows interpolating node
-    values at the post-collision velocities v' = v - ((v - v*).omega) omega
-    and v'* = v* + ((v - v*).omega) omega.  Ap and As live in two buffers
-    that the next chunk overwrites.
+
+def _gamma_sweep(basis: VelocityBasis, quad, i):
+    """Chunks of the collision quadrature at output node i, in a fixed order.
+
+    Yields (star, cw, fp, fs) for one chunk of the node's (v*, omega)
+    points: star is the v* index of each point, cw its weight
+    w |(v - v*).omega| sqrtM(v*), and fp and fs the factors
+    (_TensorInterp.factors) of the rows interpolating node values at the
+    post-collision velocities v' = v - ((v - v*).omega) omega and
+    v'* = v* + ((v - v*).omega) omega.  A chunk holds _chunk_points(n)
+    points, so that its dense interpolation rows, which only build_gamma
+    forms, fill at most GAMMA_CHUNK_ENTRIES entries; gamma_direct contracts
+    the factors one at a time instead.  One output node per call lets
+    build_gamma sweep the nodes on separate threads.
     """
     vstar, omega, interp = quad["vstar"], quad["omega"], quad["interp"]
-    star_of_q = np.repeat(np.arange(len(vstar)), len(omega))
-    nodes3 = np.stack([basis.v1, basis.vr, np.zeros(basis.n)], axis=1)
-    buf_p, buf_s = np.empty((2, min(GAMMA_CHUNK, len(star_of_q)), basis.n))
-    for i in nodes:
-        v = nodes3[i]
-        proj = (v[None, :] - vstar) @ omega.T                # (ns, nom)
-        vp = (v[None, None, :] - proj[:, :, None] * omega).reshape(-1, 3)
-        vps = (vstar[:, None, :] + proj[:, :, None] * omega).reshape(-1, 3)
-        cw = (quad["w_star"][:, None] * quad["w_omega"][None, :]
-              * np.abs(proj)).ravel() * quad["sqm_star"][star_of_q]
-        p1, pr = vp[:, 0], np.hypot(vp[:, 1], vp[:, 2])
-        s1, sr = vps[:, 0], np.hypot(vps[:, 1], vps[:, 2])
-        for q0 in range(0, len(cw), GAMMA_CHUNK):
-            sl = slice(q0, q0 + GAMMA_CHUNK)
-            m = len(cw[sl])
-            yield (i, star_of_q[sl], cw[sl],
-                   interp.matrix(p1[sl], pr[sl], buf_p[:m]),
-                   interp.matrix(s1[sl], sr[sl], buf_s[:m]))
+    v = np.array([basis.v1[i], basis.vr[i], 0.0])
+    proj = (v[None, :] - vstar) @ omega.T                    # (ns, nom)
+    # components of v' and v'*, each (ns, nom); v has no third component
+    dv = [proj * omega[:, k] for k in range(3)]
+    p1 = (v[0] - dv[0]).ravel()
+    pr = np.hypot(v[1] - dv[1], dv[2]).ravel()
+    s1 = (vstar[:, :1] + dv[0]).ravel()
+    sr = np.hypot(vstar[:, 1:2] + dv[1], vstar[:, 2:] + dv[2]).ravel()
+    cw = (quad["w_star"][:, None] * quad["w_omega"][None, :] * np.abs(proj)
+          * quad["sqm_star"][:, None]).ravel()
+    star = np.repeat(np.arange(len(vstar)), len(omega))
+    step = _chunk_points(basis.n)
+    for q0 in range(0, len(cw), step):
+        sl = slice(q0, q0 + step)
+        yield (star[sl], cw[sl], interp.factors(p1[sl], pr[sl]),
+               interp.factors(s1[sl], sr[sl]))
+
+
+def _gamma_node_rows(basis: VelocityBasis, quad, i):
+    """Gain row T[i] (unsymmetrized) and loss row of output node i.
+
+    The chunks are summed in the sweep's order into this call's own
+    buffers, so the result does not depend on which thread runs it.  The
+    weight cw folds into the v1 factor of v'* before the dense (n, npts)
+    interpolation columns are formed, and the loss row is read once per
+    v*: the weights summed per v* times ell_star.
+    """
+    n, n1, nr, ns = basis.n, basis.n1, basis.nr, len(quad["vstar"])
+    Ti = np.zeros((n, n))
+    load = np.zeros(ns)
+    buf_p, buf_s = np.empty((2, n * _chunk_points(n)))
+    for star, cw, (p1, pr), (s1, sr) in _gamma_sweep(basis, quad, i):
+        m = len(cw)
+        Ap = np.multiply(p1[:, None, :], pr[None, :, :],
+                         out=buf_p[:n * m].reshape(n1, nr, m))
+        As = np.multiply((s1 * cw)[:, None, :], sr[None, :, :],
+                         out=buf_s[:n * m].reshape(n1, nr, m))
+        Ti += As.reshape(n, m) @ Ap.reshape(n, m).T
+        load += np.bincount(star, cw, minlength=ns)
+    return Ti, load @ quad["ell_star"]
 
 
 def _invariant_cleanup(basis: VelocityBasis, arr):
@@ -211,12 +275,16 @@ def _mirror_half(basis: VelocityBasis):
 def _gamma_node_tensor(basis: VelocityBasis):
     """Dense node tensor T[i, j, k] of the bilinear operator.
 
-    The quadrature runs only at the output nodes _mirror_half(basis); the
-    other rows are their reflections.  The reflection P: v1 -> -v1 maps
-    the rule onto itself (_gamma_quadrature), so T[Pi, Pj, Pk] =
-    T[i, j, k], and the loss row of Pi is that of i with P applied.  The
-    symmetrization, the invariant cleanup and the rank-one correction
-    below commute with P (every invariant is even or odd in v1).
+    The quadrature runs only at the output nodes _mirror_half(basis), one
+    node per task on a pool of eig_workers() threads (the GEMMs and the
+    elementwise passes release the GIL); each node is summed by one task
+    in the sweep's chunk order and written in node order, so T is the
+    same bits on any worker count.  The other rows are their reflections.
+    The reflection P: v1 -> -v1 maps the rule onto itself
+    (_gamma_quadrature), so T[Pi, Pj, Pk] = T[i, j, k], and the loss row
+    of Pi is that of i with P applied.  The symmetrization, the invariant
+    cleanup and the rank-one correction below commute with P (every
+    invariant is even or odd in v1).
     """
     n = basis.n
     perm = basis.reflection
@@ -230,9 +298,10 @@ def _gamma_node_tensor(basis: VelocityBasis):
     T = np.zeros((n, n, n))
     loss = np.zeros((n, n))
     swept = _mirror_half(basis)
-    for i, star, cw, Ap, As in _gamma_sweep(basis, quad, swept):
-        T[i] += (As * cw[:, None]).T @ Ap
-        loss[i] += cw @ quad["ell_star"][star]
+    with ThreadPoolExecutor(eig_workers()) as pool:
+        rows = pool.map(partial(_gamma_node_rows, basis, quad), swept)
+        for i, (gain, loss_row) in zip(swept, rows):
+            T[i], loss[i] = gain, loss_row
     rest = np.setdiff1d(np.arange(n), swept)
     T[rest] = T[perm[rest]][:, perm][:, :, perm]
     loss[rest] = loss[perm[rest]][:, perm]
@@ -340,7 +409,10 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
     order, under their tag (grid and quadrature sizes, rule version) in a
     file named by the grid alone, and loaded when the file's tag matches;
     a file with another tag (an older quadrature or layout) or a damaged
-    file is rebuilt in place.
+    file is rebuilt in place.  The quadrature sweep runs on eig_workers()
+    threads and gives the same blocks on any thread count; an error in a
+    worker propagates from here after the pool has shut down, and no file
+    is written.  build_seconds is the build's perf_counter time.
     Raises MemoryBudget when n^3 exceeds GAMMA_MEMORY_CAP: the build holds
     the dense tensor.
     """
@@ -366,9 +438,9 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
                                      for p, s in zip(parts, shapes)),
                                perm, tag)
 
-    t_start = time.time()
+    t_start = time.perf_counter()
     blocks = _parity_blocks(_gamma_node_tensor(basis), perm)
-    built = time.time() - t_start
+    built = time.perf_counter() - t_start
     if path:
         store_array(path, tag, np.concatenate([X.ravel() for X in blocks]))
     return GammaTensor(blocks, perm, tag, built)
@@ -429,15 +501,27 @@ def apply_gamma(gamma: GammaTensor, f, g):
     return _from_pairs(out, perm).reshape(shape)
 
 
+def _interp_apply(factors, X):
+    """Interpolated node fields at a chunk's points, (npts, k), from the
+    chunk's factors (a1, ar) and X, the fields as an (n1, nr * k) array.
+
+    Contracts a1 first, then ar, and never forms the dense (npts, n) rows.
+    """
+    a1, ar = factors
+    Y = (a1.T @ X).reshape(a1.shape[1], len(ar), -1)
+    return np.einsum("bq,qbk->qk", ar, Y)
+
+
 def gamma_direct(basis: VelocityBasis, f, g):
     """Direct quadrature of the bilinear operator, bypassing the tensor.
 
     Independent evaluation path over the same quadrature sweep as
     build_gamma: interpolates the node profiles at the post-collision
-    points, sums the quadrature with the closed-form sqrt-Maxwellian
-    factor, removes the invariant components, and applies the same
-    equilibrium-direction defect correction as the tensor build.  Accepts
-    stacked pairs (m, n) and evaluates them in one sweep.
+    points one factor at a time (_interp_apply), sums the quadrature with
+    the closed-form sqrt-Maxwellian factor, removes the invariant
+    components, and applies the same equilibrium-direction defect
+    correction as the tensor build.  Accepts stacked pairs (m, n) and
+    evaluates them in one serial sweep over every output node.
     """
     quad = _gamma_quadrature(basis)
     single = np.asarray(f).ndim == 1
@@ -445,14 +529,18 @@ def gamma_direct(basis: VelocityBasis, f, g):
     e = basis.invariants[0]
     P = np.vstack([np.atleast_2d(f), e]).T               # (n, m+1)
     Q = np.vstack([np.atleast_2d(g), e]).T
+    k = P.shape[1]
+    PQ = np.hstack([P, Q]).reshape(basis.n1, -1)         # (n1, nr * 2k)
     P_star = quad["ell_star"] @ P                        # (ns, m+1)
     Q_star = quad["ell_star"] @ Q
-    acc = np.zeros((basis.n, P.shape[1]))
-    for i, star, cw, Ap, As in _gamma_sweep(basis, quad, range(basis.n)):
-        bracket = ((As @ P) * (Ap @ Q) + (Ap @ P) * (As @ Q)
-                   - P_star[star] * Q[i][None, :]
-                   - P[i][None, :] * Q_star[star])
-        acc[i] += cw @ bracket
+    acc = np.zeros((basis.n, k))
+    for i in range(basis.n):
+        for star, cw, fp, fs in _gamma_sweep(basis, quad, i):
+            xp, xs = _interp_apply(fp, PQ), _interp_apply(fs, PQ)
+            bracket = (xs[:, :k] * xp[:, k:] + xp[:, :k] * xs[:, k:]
+                       - P_star[star] * Q[i][None, :]
+                       - P[i][None, :] * Q_star[star])
+            acc[i] += cw @ bracket
     out = _invariant_cleanup(basis, 0.5 * acc)
     ew = e * basis.w
     defect = out[:, -1]

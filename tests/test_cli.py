@@ -186,6 +186,7 @@ def test_nonlinear_manifest_gamma_cache_miss_then_hit(tmp_path, monkeypatch):
         seen.append(doc["timings"])
     assert seen[0]["gamma_cache"] == "miss"
     assert seen[0]["gamma_build_s"] > 0
+    assert seen[0]["gamma_workers"] >= 1
     assert seen[1] == {"gamma_build_s": 0.0, "gamma_cache": "hit"}
 
 

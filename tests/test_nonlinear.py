@@ -2,6 +2,7 @@
 integrator for the perturbation system."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -372,11 +373,85 @@ def test_gamma_rule_mirror_exact_at_corner(bases16):
     b = bases16[0]
     P = b.reflection
     quad = nonlinear._gamma_quadrature(b)
-    rows = {0: 0.0, P[0]: 0.0}
-    for i, star, cw, Ap, As in nonlinear._gamma_sweep(b, quad, list(rows)):
-        rows[i] = rows[i] + (As * cw[:, None]).T @ Ap
+    rows = {i: nonlinear._gamma_node_rows(b, quad, i)[0] for i in (0, P[0])}
     mirrored = rows[0][P][:, P]
     assert np.abs(rows[P[0]] - mirrored).max() <= 1e-13 * np.abs(mirrored).max()
+
+
+def _blocks(gamma):
+    return np.concatenate([X.ravel() for X in gamma.blocks])
+
+
+@pytest.mark.parametrize("n1, nr", [(8, 4), (5, 2)])
+def test_gamma_blocks_same_on_one_and_two_workers(monkeypatch, n1, nr):
+    # odd n1 puts self-mirror nodes (v1 = 0) among the swept ones
+    b = VelocityBasis(n1, nr, 8.0, 0)
+    threads = threading.active_count()
+    built = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(nonlinear, "eig_workers", lambda w=workers: w)
+        built[workers] = _blocks(build_gamma(b))
+        assert threading.active_count() == threads
+    assert np.array_equal(built[1], built[2])
+
+
+def test_gamma_chunk_budget_not_dividing_node_points(monkeypatch):
+    # 1000 points per chunk leave a short last chunk at every node
+    b = VelocityBasis(8, 4, 8.0, 0)
+    default = _blocks(build_gamma(b))
+    quad = nonlinear._gamma_quadrature(b)
+    points = len(quad["vstar"]) * len(quad["omega"])
+    monkeypatch.setattr(nonlinear, "GAMMA_CHUNK_ENTRIES", 1000 * b.n + 7)
+    assert points % nonlinear._chunk_points(b.n) != 0
+    small = _blocks(build_gamma(b))
+    assert np.abs(small - default).max() <= 1e-13 * np.abs(default).max()
+
+
+def test_gamma_worker_error_propagates(tmp_path, monkeypatch):
+    b = VelocityBasis(8, 4, 8.0, 0)
+    node_rows = nonlinear._gamma_node_rows
+    swept = nonlinear._mirror_half(b)
+
+    def fails_at_third_node(basis, quad, i):
+        if i == swept[2]:
+            raise FloatingPointError("node %d" % i)
+        return node_rows(basis, quad, i)
+
+    monkeypatch.setattr(nonlinear, "_gamma_node_rows", fails_at_third_node)
+    monkeypatch.setattr(nonlinear, "eig_workers", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="node %d" % swept[2]):
+        build_gamma(b, cache_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
+    assert threading.active_count() == threads
+
+
+def test_interp_apply_matches_dense_rows():
+    # gamma_direct contracts the two factors in turn; the dense rows of
+    # the same factors are the reference
+    b = VelocityBasis(8, 4, 8.0, 0)
+    interp = nonlinear._TensorInterp(b)
+    rng = np.random.default_rng(7)
+    p1 = np.concatenate([rng.uniform(-9.0, 9.0, 200), interp.v1])
+    pr = np.concatenate([rng.uniform(0.0, 9.0, 200),
+                         np.resize(interp.vr, len(interp.v1))])
+    X = rng.standard_normal((b.n, 3))
+    dense = interp.matrix(p1, pr, np.empty((len(p1), b.n))) @ X
+    got = nonlinear._interp_apply(interp.factors(p1, pr),
+                                  X.reshape(b.n1, -1))
+    assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+    outside = (np.abs(p1) > b.vmax) | (pr > b.vmax)
+    assert outside.any() and not got[outside].any()
+
+
+@pytest.mark.parametrize("rows", [4, 8, 12, 16, 24])
+def test_pairwise_column_sums_match_row_sums(rows):
+    # the barycentric denominators keep the rounding of a contiguous sum
+    rng = np.random.default_rng(rows)
+    c = rng.standard_normal((rows, 999)) \
+        * 10.0 ** rng.integers(-8, 8, (rows, 999))
+    assert np.array_equal(nonlinear._pairwise_column_sums(c),
+                          np.ascontiguousarray(c.T).sum(axis=1))
 
 
 def test_gamma_odd_n1_half_sweep_matches_full_sweep(monkeypatch):
