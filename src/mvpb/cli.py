@@ -5,8 +5,8 @@ and the node sweep of the Gamma build use more than one thread, see
 spectral.eig_workers) and writes its outputs plus a manifest into the
 output directory.  Exit codes: 0 success, 2 invalid configuration, 3
 numerical failure (a manifest is still written in that case, flagged as
-partial).  The cache directory for expensive kernels and
-tensors is taken from the MVPB_CACHE environment variable.
+partial).  The cache directory for expensive kernels and tensors is taken
+from the MVPB_CACHE environment variable.
 """
 
 from __future__ import annotations
