@@ -32,6 +32,12 @@ class SpaceGrid:
     eta_k = pi k / L, k = 0..nx/2; fields are real so negative modes follow
     by conjugation.  A point source at x = 0 has the flat coefficient
     profile 1/(2L) (band-limited mollification).
+
+    The grid starts at x = -L, half a period from the FFT origin, so the
+    coefficients are the FFT's times the sign (-1)^k on mode k: each
+    transform is one real FFT along its axis and one sign pass, with no
+    shift of the samples.  Translation-invariant operators (derivative,
+    the field solve) need no shift at all: apply_multiplier.
     """
 
     def __init__(self, box_half_length=200.0, nx=4096):
@@ -43,22 +49,36 @@ class SpaceGrid:
         self.x = -self.L + self.dx * np.arange(self.nx)
         self.eta = np.pi * np.arange(self.nx // 2 + 1) / self.L
         self.nh = self.nx // 2 + 1
+        self._sign = np.where(np.arange(self.nh) % 2, -1.0, 1.0)
+
+    def _along(self, a, ndim, axis):
+        """a, an (nh,) mode array, shaped to broadcast along axis."""
+        shape = [1] * ndim
+        shape[axis] = self.nh
+        return a.reshape(shape)
 
     def delta_coefficients(self):
         return np.full(self.nh, 1.0 / (2.0 * self.L))
 
     def to_physical(self, coef, axis=-1):
         """Real field on self.x from non-negative-mode coefficients."""
-        f = np.fft.irfft(np.moveaxis(np.asarray(coef), axis, -1) * self.nx,
-                         n=self.nx, axis=-1)
-        f = np.roll(f, self.nx // 2, axis=-1)
-        return np.moveaxis(f, -1, axis)
+        coef = np.asarray(coef)
+        return np.fft.irfft(coef * self._along(self._sign, coef.ndim, axis),
+                            n=self.nx, axis=axis, norm="forward")
 
     def to_coefficients(self, field, axis=-1):
-        g = np.moveaxis(np.asarray(field), axis, -1)
-        g = np.roll(g, -self.nx // 2, axis=-1)
-        c = np.fft.rfft(g, axis=-1) / self.nx
-        return np.moveaxis(c, -1, axis)
+        field = np.asarray(field)
+        c = np.fft.rfft(field, axis=axis, norm="forward")
+        c *= self._along(self._sign, field.ndim, axis)
+        return c
+
+    def apply_multiplier(self, field, symbol, axis=-1):
+        """irfft(symbol * rfft(field)) along axis: the translation-invariant
+        operator with the (nh,) symbol on a real field, with no shift."""
+        field = np.asarray(field)
+        c = np.fft.rfft(field, axis=axis)
+        c *= self._along(symbol, field.ndim, axis)
+        return np.fft.irfft(c, n=self.nx, axis=axis)
 
     def derivative_coefficients(self, coef, axis=-1, order=1):
         c = np.moveaxis(np.asarray(coef, dtype=complex), axis, -1)
@@ -67,8 +87,7 @@ class SpaceGrid:
 
     def derivative(self, field, axis=-1, order=1):
         """order-th x-derivative of a real field along axis."""
-        c = self.derivative_coefficients(self.to_coefficients(field, axis), axis, order)
-        return self.to_physical(c, axis)
+        return self.apply_multiplier(field, (1j * self.eta) ** order, axis)
 
     def poisson_coefficients(self, coef, axis=-1):
         """(I - d_xx)^{-1} in frequency space."""

@@ -39,9 +39,11 @@ def solve_field(grid: SpaceGrid, n):
     """Linearized field equation: (I - d_xx) φ = -n.
 
     The package's only linear field solve; the nonlinear field iterations
-    call it for each frequency-diagonal sweep.
+    call it for each frequency-diagonal sweep.  One multiplier,
+    -1/(1 + eta^2): the solve commutes with translation, so it needs no
+    shift to the grid's origin.
     """
-    return grid.to_physical(grid.poisson_coefficients(grid.to_coefficients(-np.asarray(n))))
+    return grid.apply_multiplier(n, -1.0 / (1.0 + grid.eta ** 2))
 
 
 def extract_moments(basis: VelocityBasis, f_field):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -374,6 +374,12 @@ class GammaTensor:
     tag: tuple
     build_seconds: float = 0.0  # 0.0 when loaded from the cache
 
+    @cached_property
+    def pairs(self):
+        """The orthonormal (n, n) matrix Q of the pair basis: x @ Q is
+        _to_pairs(x) and c @ Q.T is _from_pairs(c), up to round-off."""
+        return _to_pairs(np.eye(len(self.perm)), self.perm)
+
     @property
     def tensor(self):
         """The dense (n, n, n) node tensor, assembled from the blocks;
@@ -457,48 +463,50 @@ def _block(X, x, y):
     return (A @ y[:, :, None])[:, :, 0]
 
 
-def _apply_pairs(blocks, cf, cg):
-    """Pair coordinates of Gamma(f, g) from those of f and g (cg None: g = f)."""
+def _apply_pairs(blocks, cf, cg, out):
+    """Pair coordinates of Gamma(f, g), written to out, from those of f and
+    g (cg None: g = f)."""
     eee, eoo, oeo = blocks
     ne = len(eee)
     ef, of = cf[:, :ne], cf[:, ne:]
+    even, odd = out[:, :ne], out[:, ne:]
     if cg is None:
-        even = _block(eee, ef, ef) + _block(eoo, of, of)
-        odd = 2.0 * _block(oeo, ef, of)
+        np.add(_block(eee, ef, ef), _block(eoo, of, of), out=even)
+        np.multiply(_block(oeo, ef, of), 2.0, out=odd)
     else:
         eg, og = cg[:, :ne], cg[:, ne:]
         # the even part averages both argument orders and the odd part sums
         # both cross terms, so Gamma(f, g) and Gamma(g, f) agree exactly
-        even = 0.5 * ((_block(eee, ef, eg) + _block(eoo, of, og))
-                      + (_block(eee, eg, ef) + _block(eoo, og, of)))
-        odd = _block(oeo, ef, og) + _block(oeo, eg, of)
-    return np.concatenate([even, odd], axis=1)
+        np.multiply((_block(eee, ef, eg) + _block(eoo, of, og))
+                    + (_block(eee, eg, ef) + _block(eoo, og, of)), 0.5,
+                    out=even)
+        np.add(_block(oeo, ef, og), _block(oeo, eg, of), out=odd)
 
 
 def apply_gamma(gamma: GammaTensor, f, g):
     """Symmetric bilinear application on (..., n) node fields.
 
-    f and g map to their pair coordinates, each parity block contracts in
-    one GEMM and one batched mat-vec over row chunks of at most
-    GAMMA_APPLY_ENTRIES intermediate entries, and the result maps back.
+    f and g map to their pair coordinates by one GEMM each with the pair
+    matrix (GammaTensor.pairs), each parity block contracts in one GEMM
+    and one batched mat-vec over row chunks of at most
+    GAMMA_APPLY_ENTRIES intermediate entries, written in place, and the
+    result maps back by one GEMM with the transpose.
     Gamma(f, g) and Gamma(g, f) agree exactly in floating point.
     """
-    perm = gamma.perm
-    n = len(perm)
+    Q = gamma.pairs
+    n = len(Q)
     same = f is g
     f = np.asarray(f)
     g = np.asarray(g)
     shape = np.broadcast_shapes(f.shape, g.shape)
-    cf = _to_pairs(np.broadcast_to(f, shape).reshape(-1, n), perm)
-    cg = None if same else \
-        _to_pairs(np.broadcast_to(g, shape).reshape(-1, n), perm)
+    cf = np.broadcast_to(f, shape).reshape(-1, n) @ Q
+    cg = None if same else np.broadcast_to(g, shape).reshape(-1, n) @ Q
     out = np.empty(cf.shape, dtype=np.result_type(f, g, float))
     step = max(1, GAMMA_APPLY_ENTRIES // len(gamma.blocks[0]) ** 2)
     for r0 in range(0, len(out), step):
         sl = slice(r0, r0 + step)
-        out[sl] = _apply_pairs(gamma.blocks, cf[sl],
-                               None if same else cg[sl])
-    return _from_pairs(out, perm).reshape(shape)
+        _apply_pairs(gamma.blocks, cf[sl], None if same else cg[sl], out[sl])
+    return (out @ Q.T).reshape(shape)
 
 
 def _interp_apply(factors, X):
@@ -625,6 +633,13 @@ class NonlinearStepper:
     quadratic terms: the field products, the collision bilinear form, and
     the beyond-linear part of the field equation.  The field is solved
     only where it is read: in the quadratic step when field_terms is on.
+
+    The half-step is one batched real GEMM of props, exp(B_r dt/2) per
+    mode, on a float view of the complex coefficients.  A quadratic stage
+    makes one field solve (poisson_newton), reads d_x phi and the
+    beyond-linear gradient from one stacked rfft/irfft pair, applies the
+    field advection 1/2 v1 f d_x phi - d_x phi d_v1 f as one GEMM with the
+    matrix advect, formed here, and Gamma through apply_gamma.
     """
 
     def __init__(self, op: CollisionOperator, grid: SpaceGrid, dt,
@@ -639,6 +654,13 @@ class NonlinearStepper:
         self.mass_w = b.invariants[0] * b.w
         self.v1chi0 = b.v1 * b.invariants[0]
         self._dv_min = np.min(np.diff(np.unique(np.round(b.v1, 12))))
+        #: d/dv1 on node rows: f @ dv1 == apply_v1_derivative(b, f)
+        self.dv1 = apply_v1_derivative(b, np.eye(b.n))
+        #: f @ advect == 1/2 v1 f - d/dv1 f on node rows
+        self.advect = 0.5 * np.diag(b.v1) - self.dv1
+        # symbols of d_x and of d_x (I - d_xx)^{-1}
+        self._ddx = 1j * grid.eta
+        self._ddx_lin = self._ddx / (1.0 + grid.eta ** 2)
         # exp(B dt/2) = U exp(B_r dt/2) U*: real half-step propagators
         self.props = np.empty((grid.nh, b.n, b.n))
         for k, eta in enumerate(grid.eta):
@@ -648,25 +670,33 @@ class NonlinearStepper:
     # -------------------------------------------------------------- #
 
     def _half_linear(self, coef):
+        """props applied per mode, as a real GEMM on the (re, im) pairs of
+        the real-form coefficients, viewed as floats in and out."""
         perm = self.b.reflection
-        z = to_real_form(coef, perm, axis=1)
-        y = self.props @ np.stack([z.real, z.imag], axis=-1)
-        return from_real_form(y[..., 0] + 1j * y[..., 1], perm, axis=1)
+        nh, n = coef.shape
+        z = np.ascontiguousarray(to_real_form(coef, perm, axis=1))
+        y = np.empty_like(z)
+        np.matmul(self.props, z.view(np.float64).reshape(nh, n, 2),
+                  out=y.view(np.float64).reshape(nh, n, 2))
+        return from_real_form(y, perm, axis=1)
 
     def _quadratic_rhs(self, coef):
         """Explicit sources in physical space; returns coefficient rhs."""
         g = self.grid
-        f_x = np.real(g.to_physical(coef, axis=0))      # (nx, n) real field
+        f_x = g.to_physical(coef, axis=0)               # (nx, n) real field
         rhs = np.zeros_like(f_x)
         if self.field_terms:
             n_x = f_x @ self.mass_w
             phi = poisson_newton(g, n_x)
-            dphi = g.derivative(phi)
-            rhs += 0.5 * dphi[:, None] * (self.b.v1[None, :] * f_x)
-            rhs -= dphi[:, None] * apply_v1_derivative(self.b, f_x)
-            # beyond-linear part of the field source (the linear response
-            # is inside the propagator)
-            dphi_nl = g.derivative(phi - solve_field(g, n_x))
+            # d_x phi, and d_x (phi - solve_field(n)), the beyond-linear
+            # part of the field source (the linear response is inside the
+            # propagator), from one transform of [phi, n] each way
+            phat, nhat = np.fft.rfft(np.stack([phi, n_x]), axis=1)
+            dphat = self._ddx * phat
+            dphi, dphi_nl = np.fft.irfft(
+                np.stack([dphat, dphat + self._ddx_lin * nhat]), n=g.nx,
+                axis=1)
+            rhs += dphi[:, None] * (f_x @ self.advect)
             rhs += dphi_nl[:, None] * self.v1chi0[None, :]
             cfl_speed = np.abs(dphi).max()
             if self.dt * cfl_speed > CFL * self._dv_min:
@@ -714,9 +744,9 @@ def state_diagnostics(stepper: NonlinearStepper, state: KineticState):
     """Pointwise sup norms and profile-normalized ratios at one time."""
     b = stepper.b
     g = stepper.grid
-    f_x = np.real(g.to_physical(state.coef, axis=0))
+    f_x = g.to_physical(state.coef, axis=0)
     sup_f = b.weighted_sup_norm(f_x, 3)                    # L^inf_{v,3}
-    sup_dvf = b.weighted_sup_norm(apply_v1_derivative(b, f_x), 2)
+    sup_dvf = b.weighted_sup_norm(f_x @ stepper.dv1, 2)
     phi = poisson_newton(g, f_x @ stepper.mass_w)
     dphi = g.derivative(phi)
     # density time derivative from the continuity relation d_t n = -d_x m1

@@ -1,22 +1,37 @@
 """Shared fixtures: bases, collision operators, and the kernel cache.
 
 Expensive objects (kernel matrices, collision tensors) are cached on disk
-under MVPB_CACHE (defaulting to a per-user temp directory) and shared
-session-wide, so repeated runs only pay the assembly cost once.
+under MVPB_CACHE and shared session-wide, so repeated runs only pay the
+assembly cost once.  Without MVPB_CACHE the directory is a temp directory
+named by a digest of the sources that build those objects, so a change
+to how a kernel or Gamma is built is tested against a fresh build, not
+against a file an older build wrote under the same tag.
 """
 
+import hashlib
 import os
 import tempfile
 
 import numpy as np
 import pytest
 
+from mvpb import collision, nonlinear
 from mvpb.collision import CollisionOperator
 from mvpb.nonlinear import build_gamma
 from mvpb.velocity import basis_pair
 
-CACHE = os.environ.get(
-    "MVPB_CACHE", os.path.join(tempfile.gettempdir(), "mvpb-cache"))
+
+def _build_source_digest():
+    """Short digest of the collision and nonlinear module sources."""
+    h = hashlib.sha256()
+    for module in (collision, nonlinear):
+        with open(module.__file__, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()[:12]
+
+
+CACHE = os.environ.get("MVPB_CACHE") or os.path.join(
+    tempfile.gettempdir(), "mvpb-cache-" + _build_source_digest())
 os.makedirs(CACHE, exist_ok=True)
 
 

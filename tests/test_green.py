@@ -23,6 +23,40 @@ def grid():
     return SpaceGrid(box_half_length=50.0, nx=512)
 
 
+def _rolled_to_physical(g, coef, axis):
+    """The transform as a roll of the FFT samples by nx/2 to x[0] = -L."""
+    f = np.fft.irfft(np.moveaxis(coef, axis, -1) * g.nx, n=g.nx, axis=-1)
+    return np.moveaxis(np.roll(f, g.nx // 2, axis=-1), -1, axis)
+
+
+def _rolled_to_coefficients(g, field, axis):
+    f = np.roll(np.moveaxis(field, axis, -1), -g.nx // 2, axis=-1)
+    return np.moveaxis(np.fft.rfft(f, axis=-1) / g.nx, -1, axis)
+
+
+@pytest.mark.parametrize("nx", [512, 126])
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_grid_sign_shift_matches_roll(nx, axis, rng):
+    # the half-period shift is the sign (-1)^k on mode k
+    g = SpaceGrid(box_half_length=50.0, nx=nx)
+    shape = [3, 4, 5]
+    shape[axis] = g.nh
+    coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = _rolled_to_physical(g, coef, axis)
+    got = g.to_physical(coef, axis=axis)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    field = rng.standard_normal(got.shape)
+    want = _rolled_to_coefficients(g, field, axis)
+    got = g.to_coefficients(field, axis=axis)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_derivative_multiplier_of_lowest_mode(grid):
+    k = np.pi / grid.L
+    got = grid.derivative(np.sin(k * grid.x))
+    assert np.abs(got - k * np.cos(k * grid.x)).max() <= 1e-12 * k
+
+
 def test_grid_roundtrip(grid, rng):
     coef = (rng.standard_normal(grid.nh) + 1j * rng.standard_normal(grid.nh))
     coef[0] = coef[0].real

@@ -17,6 +17,7 @@ from mvpb.nonlinear import (GammaTensor, KineticState, NonlinearStepper,
                             field_time_derivative, gamma_direct,
                             initial_state, poisson_newton,
                             state_diagnostics)
+from mvpb.moments import apply_v1_derivative, solve_field
 from mvpb.velocity import VelocityBasis, maxwellian
 
 
@@ -206,6 +207,60 @@ def test_step_solves_field_only_where_read(ops16, grid, gamma16, monkeypatch,
                                gamma=gamma16 if with_gamma else None)
     stepper.step(initial_state(op0, grid))
     assert len(calls) == solves
+
+
+def _quadratic_rhs_composed(stepper, coef):
+    """The quadratic stage composed term by term from the public layers."""
+    g, b = stepper.grid, stepper.b
+    f_x = g.to_physical(coef, axis=0)
+    rhs = np.zeros_like(f_x)
+    if stepper.field_terms:
+        n_x = f_x @ stepper.mass_w
+        phi = poisson_newton(g, n_x)
+        dphi = g.derivative(phi)
+        rhs += 0.5 * dphi[:, None] * (b.v1 * f_x)
+        rhs -= dphi[:, None] * apply_v1_derivative(b, f_x)
+        dphi_nl = g.derivative(phi - solve_field(g, n_x))
+        rhs += dphi_nl[:, None] * stepper.v1chi0
+    if stepper.gamma is not None:
+        rhs += apply_gamma(stepper.gamma, f_x, f_x)
+    return g.to_coefficients(rhs, axis=0)
+
+
+@pytest.mark.parametrize("with_gamma", [True, False])
+def test_quadratic_rhs_matches_composed_terms(gamma32, cache_dir, grid,
+                                              with_gamma):
+    # a datum with a non-Maxwellian velocity profile, where Gamma(f, f)
+    # does not vanish, and both field terms act; at amplitude 0.1 the
+    # beyond-linear field phi - solve_field(n) = O(phi^2) stands well
+    # above the round-off of its cancellation, eps |phi|
+    b, gamma = gamma32
+    op = collision.CollisionOperator(b, cache_dir=cache_dir)
+    stepper = NonlinearStepper(op, grid, 0.1,
+                               gamma=gamma if with_gamma else None)
+    h = np.random.default_rng(8).standard_normal(b.n) * b.sqrt_maxwell
+    bump = (1.0 + grid.x ** 2) ** -1.0
+    f_x = 0.1 * (np.outer(bump, b.invariants[0])
+                  + np.outer(np.roll(bump, 9), h))
+    coef = grid.to_coefficients(f_x, axis=0)
+    want = _quadratic_rhs_composed(stepper, coef)
+    got = stepper._quadratic_rhs(coef)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gamma_pair_matrix(gamma32, rng):
+    b, gamma = gamma32
+    Q = gamma.pairs
+    assert np.abs(Q.T @ Q - np.eye(b.n)).max() <= 4e-16
+    x = rng.standard_normal((50, b.n))
+    # one GEMM sums x_i/sqrt2 + x_Pi/sqrt2 where _to_pairs divides
+    # (x_i + x_Pi) by sqrt2: equal to round-off, not bit for bit
+    eps = np.finfo(float).eps
+    assert np.abs(x @ Q - nonlinear._to_pairs(x, b.reflection)).max() \
+        <= 2 * eps * np.abs(x).max()
+    c = x @ Q
+    assert np.abs(c @ Q.T - nonlinear._from_pairs(c, b.reflection)).max() \
+        <= 2 * eps * np.abs(c).max()
 
 
 def test_step_second_order(ops16, grid, gamma16):
