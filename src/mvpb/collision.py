@@ -76,12 +76,13 @@ def store_array(path, header, arr):
     """Write arr atomically under its JSON header.
 
     Layout: magic(8) | u32 header_len | JSON header | float64 row-major.
+    The payload is written through the array's buffer, with no bytes copy.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
     def write(fh):
         fh.write(_cache_prefix(header))
-        fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype=np.float64))
     write_atomic(path, write)
 
 

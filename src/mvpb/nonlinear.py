@@ -6,8 +6,7 @@ propagators; the quadratic terms (field products, bilinear collision
 operator, nonlinear field correction) use an explicit midpoint rule in
 physical space.  The bilinear collision operator is a third-order tensor
 over the velocity nodes, built once by quadrature on half the output nodes
-and kept, cached and applied as three parity blocks of the reflection
-v1 -> -v1.
+straight into three parity blocks of the reflection v1 -> -v1.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ PHI_STAR_NODES, OMEGA_THETA_NODES, OMEGA_PHI_NODES = 16, 12, 24
 #: chunk: a larger budget raises the peak memory of a threaded build at
 #: small n, a smaller one adds per-chunk overhead at large n
 GAMMA_CHUNK_ENTRIES = 1 << 18
-#: largest Gamma tensor (entries) that build_gamma will allocate
+#: largest n^3 that build_gamma accepts; the blocks it builds hold 3/8 of it
 GAMMA_MEMORY_CAP = 512 ** 3
 
 
@@ -154,7 +153,7 @@ def _gamma_quadrature(basis: VelocityBasis):
     mirror-exact (velocity.gauss_rule), the shifted azimuths negate cos and
     sin exactly, and the v1 barycentric weights are mirrored exactly.
     build_gamma therefore sweeps only half the output nodes
-    (_gamma_node_tensor).
+    (_gamma_blocks).
     """
     phis = (np.arange(PHI_STAR_NODES // 2) + 0.5) * 2.0 * np.pi / PHI_STAR_NODES
     ct, wt = leggauss(OMEGA_THETA_NODES)
@@ -264,63 +263,6 @@ def _invariant_cleanup(basis: VelocityBasis, arr):
     return arr - np.tensordot(chi.T, load, axes=(1, 0))
 
 
-def _mirror_half(basis: VelocityBasis):
-    """Output nodes that build_gamma sweeps: i <= P[i] for the reflection P.
-
-    One node of each mirror pair, and every node with v1 = 0 (n1 odd).
-    """
-    return np.flatnonzero(np.arange(basis.n) <= basis.reflection)
-
-
-def _gamma_node_tensor(basis: VelocityBasis):
-    """Dense node tensor T[i, j, k] of the bilinear operator.
-
-    The quadrature runs only at the output nodes _mirror_half(basis), one
-    node per task on a pool of eig_workers() threads (the GEMMs and the
-    elementwise passes release the GIL); each node is summed by one task
-    in the sweep's chunk order and written in node order, so T is the
-    same bits on any worker count.  The other rows are their reflections.
-    The reflection P: v1 -> -v1 maps the rule onto itself
-    (_gamma_quadrature), so T[Pi, Pj, Pk] = T[i, j, k], and the loss row
-    of Pi is that of i with P applied.  The symmetrization, the invariant
-    cleanup and the rank-one correction below commute with P (every
-    invariant is even or odd in v1).
-    """
-    n = basis.n
-    perm = basis.reflection
-    quad = _gamma_quadrature(basis)
-    # All square-root-Maxwellian factors reduce in closed form: with
-    # F = sqrtM f, G = sqrtM g the gain products carry
-    # sqrtM(v') sqrtM(v'*) / sqrtM(v) = sqrtM(v*) by energy conservation
-    # (detailed balance), and the loss terms carry the same sqrtM(v*).
-    # Only f and g themselves are interpolated, which keeps the tensor
-    # entries O(1) and the apply path well conditioned.
-    T = np.zeros((n, n, n))
-    loss = np.zeros((n, n))
-    swept = _mirror_half(basis)
-    with ThreadPoolExecutor(eig_workers()) as pool:
-        rows = pool.map(partial(_gamma_node_rows, basis, quad), swept)
-        for i, (gain, loss_row) in zip(swept, rows):
-            T[i], loss[i] = gain, loss_row
-    rest = np.setdiff1d(np.arange(n), swept)
-    T[rest] = T[perm[rest]][:, perm][:, :, perm]
-    loss[rest] = loss[perm[rest]][:, perm]
-    for i in range(n):
-        T[i] = 0.5 * (T[i] + T[i].T)
-        T[i, :, i] -= 0.5 * loss[i]
-        T[i, i, :] -= 0.5 * loss[i]
-    T = _invariant_cleanup(basis, T)
-    # The Maxwellian pair annihilates the continuum operator; the residual
-    # quadrature defect in that single input direction is removed by a
-    # rank-one correction (exact at equilibrium, symmetric, and itself
-    # invariant-free since the defect vector was already projected).
-    e = basis.invariants[0]
-    ew = e * basis.w
-    r = np.einsum("ijk,j,k->i", T, e, e)
-    T -= np.einsum("i,j,k->ijk", r, ew, ew)
-    return T
-
-
 # ---------------------------------------------------------------------- #
 # parity pair basis of the reflection
 # ---------------------------------------------------------------------- #
@@ -394,15 +336,78 @@ class GammaTensor:
         return T
 
 
-def _parity_blocks(T, perm):
-    """GammaTensor.blocks of a dense (n, n, n) tensor; its other blocks,
-    zero up to round-off, are dropped."""
-    for axis in range(3):
-        T = _to_pairs(T, perm, axis)
-    ne = len(perm) - len(_mirror_pairs(perm)[0])
+def _block_shapes(perm):
+    """Shapes of GammaTensor.blocks (EEE, EOO, OEO) for the reflection perm."""
+    no = len(_mirror_pairs(perm)[0])
+    ne = len(perm) - no
+    return (ne, ne, ne), (no, ne, no), (ne, no, no)
+
+
+def _split_blocks(flat, perm):
+    """GammaTensor.blocks as views of flat, which holds them in order."""
+    shapes = _block_shapes(perm)
+    ends = np.cumsum([np.prod(s) for s in shapes])
+    return tuple(p.reshape(s)
+                 for p, s in zip(np.split(flat, ends[:-1]), shapes))
+
+
+def _gamma_blocks(basis: VelocityBasis, flat):
+    """The bilinear operator's GammaTensor.blocks, written into flat.
+
+    Node i's row of the node tensor is M = (G + G^T)/2 for its gain row G,
+    less half its loss row on row i and on column i.  eig_workers() threads
+    (the GEMMs release the GIL) sweep one node of each mirror pair
+    i < P[i], then the nodes P fixes (_mirror_pairs), one per task, so the
+    task index is the even output coordinate; rows are written in sweep
+    order, so the blocks are the same bits on any worker count.
+
+    P maps the rule onto itself (_gamma_quadrature), so row Pi is row i
+    with P on both inputs: S X S for the row X in pair coordinates, S = +1
+    on even and -1 on odd ones.  A pair's even output row (X + S X S)/sqrt2
+    is sqrt2 X on EE and OO, its odd one (X - S X S)/sqrt2 is sqrt2 X on
+    EO, and a fixed node's row is X.  Every invariant is even or odd in v1,
+    so the invariant cleanup is block-diagonal; the equilibrium is even, so
+    the rank-one correction touches EEE only.
+    """
+    perm = basis.reflection
+    quad = _gamma_quadrature(basis)
+    eee, eoo, oeo = blocks = _split_blocks(flat, perm)
+    ne, npair = len(eee), oeo.shape[1]
     E, O = slice(None, ne), slice(ne, None)
-    return tuple(np.ascontiguousarray(T[a, b, c].transpose(1, 0, 2))
-                 for a, b, c in ((E, E, E), (E, O, O), (O, E, O)))
+    # All square-root-Maxwellian factors reduce in closed form: with
+    # F = sqrtM f, G = sqrtM g the gain products carry
+    # sqrtM(v') sqrtM(v'*) / sqrtM(v) = sqrtM(v*) by energy conservation
+    # (detailed balance), and the loss terms carry the same sqrtM(v*).
+    # Only f and g themselves are interpolated, which keeps the tensor
+    # entries O(1) and the apply path well conditioned.
+    swept = np.concatenate(_mirror_pairs(perm))
+    with ThreadPoolExecutor(eig_workers()) as pool:
+        rows = pool.map(partial(_gamma_node_rows, basis, quad), swept)
+        for a, (i, (gain, loss)) in enumerate(zip(swept, rows)):
+            M = 0.5 * (gain + gain.T)
+            M[:, i] -= 0.5 * loss
+            M[i, :] -= 0.5 * loss
+            X = _to_pairs(_to_pairs(M, perm, 0), perm, 1)
+            if a < npair:
+                X *= SQRT2
+                oeo[:, a, :] = X[E, O]
+            eee[:, a, :], eoo[:, a, :] = X[E, E], X[O, O]
+    # _invariant_cleanup on the output axis: I - chi^T (chi w) in pairs
+    chi = _to_pairs(basis.invariants, perm)
+    chi_w = _to_pairs(basis.invariants * basis.w, perm)
+    for X, s in zip(blocks, (E, E, O)):
+        for Xb in X:
+            Xb -= chi[:, s].T @ (chi_w[:, s] @ Xb)
+    # The Maxwellian pair annihilates the continuum operator; the residual
+    # quadrature defect in that single input direction is removed by a
+    # rank-one correction (exact at equilibrium, symmetric, and itself
+    # invariant-free since the defect vector was already projected).
+    e, ew = chi[0, E], chi_w[0, E]
+    r = (e @ eee.reshape(ne, -1)).reshape(ne, ne) @ e
+    correction = np.outer(r, ew)
+    for Xb, wb in zip(eee, ew):
+        Xb -= wb * correction
+    return blocks
 
 
 def build_gamma(basis: VelocityBasis, cache_dir=None):
@@ -410,45 +415,38 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
 
     T[i, j, k] is the coefficient of node i in the operator applied to the
     (j, k) node pair, symmetrized in (j, k) and projected off the
-    invariants (_gamma_node_tensor); it is kept as the three blocks of
-    GammaTensor.  With cache_dir, the blocks are stored there, flat and in
-    order, under their tag (grid and quadrature sizes, rule version) in a
-    file named by the grid alone, and loaded when the file's tag matches;
-    a file with another tag (an older quadrature or layout) or a damaged
-    file is rebuilt in place.  The quadrature sweep runs on eig_workers()
-    threads and gives the same blocks on any thread count; an error in a
-    worker propagates from here after the pool has shut down, and no file
-    is written.  build_seconds is the build's perf_counter time.
-    Raises MemoryBudget when n^3 exceeds GAMMA_MEMORY_CAP: the build holds
-    the dense tensor.
+    invariants, kept as the three blocks of GammaTensor (_gamma_blocks).
+    With cache_dir, the blocks are stored there, flat and in order, under
+    their tag (grid and quadrature sizes, rule version) in a file named by
+    the grid alone, and loaded when the file's tag matches; a file with
+    another tag (an older quadrature or layout) or a damaged file is
+    rebuilt in place.  The quadrature sweep runs on eig_workers() threads
+    and gives the same blocks on any thread count; an error in a worker
+    propagates from here after the pool has shut down, and no file is
+    written.  build_seconds is the build's perf_counter time.
+    Raises MemoryBudget when n^3 exceeds GAMMA_MEMORY_CAP.
     """
-    n = basis.n
-    if n ** 3 > GAMMA_MEMORY_CAP:
+    if basis.n ** 3 > GAMMA_MEMORY_CAP:
         raise MemoryBudget("gamma tensor would need %d entries (cap %d)"
-                           % (n ** 3, GAMMA_MEMORY_CAP))
+                           % (basis.n ** 3, GAMMA_MEMORY_CAP))
     # the last entry is the rule version: change it with the quadrature, the
     # nodes or the stored layout
     tag = (basis.n1, basis.nr, basis.vmax, PHI_STAR_NODES,
            OMEGA_THETA_NODES, OMEGA_PHI_NODES, 5)
     perm = basis.reflection
+    size = sum(int(np.prod(s)) for s in _block_shapes(perm))
     path = cache_path(cache_dir, "gamma", tag[:3]) if cache_dir else None
     if path:
-        no = len(_mirror_pairs(perm)[0])
-        ne = n - no
-        shapes = ((ne, ne, ne), (no, ne, no), (ne, no, no))
-        sizes = [int(np.prod(s)) for s in shapes]
-        flat = load_array(path, tag, (sum(sizes),))
+        flat = load_array(path, tag, (size,))
         if flat is not None:
-            parts = np.split(flat, np.cumsum(sizes)[:-1])
-            return GammaTensor(tuple(p.reshape(s)
-                                     for p, s in zip(parts, shapes)),
-                               perm, tag)
+            return GammaTensor(_split_blocks(flat, perm), perm, tag)
 
     t_start = time.perf_counter()
-    blocks = _parity_blocks(_gamma_node_tensor(basis), perm)
+    flat = np.empty(size)
+    blocks = _gamma_blocks(basis, flat)
     built = time.perf_counter() - t_start
     if path:
-        store_array(path, tag, np.concatenate([X.ravel() for X in blocks]))
+        store_array(path, tag, flat)
     return GammaTensor(blocks, perm, tag, built)
 
 

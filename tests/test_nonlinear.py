@@ -465,7 +465,7 @@ def test_gamma_chunk_budget_not_dividing_node_points(monkeypatch):
 def test_gamma_worker_error_propagates(tmp_path, monkeypatch):
     b = VelocityBasis(8, 4, 8.0, 0)
     node_rows = nonlinear._gamma_node_rows
-    swept = nonlinear._mirror_half(b)
+    swept = np.concatenate(nonlinear._mirror_pairs(b.reflection))
 
     def fails_at_third_node(basis, quad, i):
         if i == swept[2]:
@@ -509,7 +509,45 @@ def test_pairwise_column_sums_match_row_sums(rows):
                           np.ascontiguousarray(c.T).sum(axis=1))
 
 
-def test_gamma_odd_n1_half_sweep_matches_full_sweep(monkeypatch):
+def _dense_blocks(b):
+    """GammaTensor.blocks by the dense algorithm: every output node swept,
+    each row symmetrized with its loss taken off, the n^3 tensor projected
+    off the invariants and corrected in the equilibrium direction, then
+    mapped to pair coordinates on every axis."""
+    quad = nonlinear._gamma_quadrature(b)
+    T = np.empty((b.n,) * 3)
+    for i in range(b.n):
+        gain, loss = nonlinear._gamma_node_rows(b, quad, i)
+        T[i] = 0.5 * (gain + gain.T)
+        T[i, :, i] -= 0.5 * loss
+        T[i, i, :] -= 0.5 * loss
+    T = nonlinear._invariant_cleanup(b, T)
+    e = b.invariants[0]
+    ew = e * b.w
+    r = np.einsum("ijk,j,k->i", T, e, e)
+    T -= np.einsum("i,j,k->ijk", r, ew, ew)
+    for axis in range(3):
+        T = nonlinear._to_pairs(T, b.reflection, axis)
+    ne = b.n - len(nonlinear._mirror_pairs(b.reflection)[0])
+    E, O = slice(None, ne), slice(ne, None)
+    return [T[i, j, k].transpose(1, 0, 2)
+            for i, j, k in ((E, E, E), (E, O, O), (O, E, O))]
+
+
+def _assert_blocks_match_dense(b, gamma):
+    for got, want in zip(gamma.blocks, _dense_blocks(b)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_gamma_blocks_match_dense_full_sweep():
+    # the half sweep written straight into the blocks against every
+    # output node swept and the corrections made on the dense tensor
+    b = VelocityBasis(8, 4, 8.0, 0)
+    _assert_blocks_match_dense(b, build_gamma(b))
+
+
+def test_gamma_odd_n1_half_sweep_matches_full_sweep():
     # n1 = 5 puts nodes on v1 = 0, which P fixes: they are even-only
     b = VelocityBasis(5, 2, 8.0, 0)
     assert np.any(b.reflection == np.arange(b.n))
@@ -517,10 +555,7 @@ def test_gamma_odd_n1_half_sweep_matches_full_sweep(monkeypatch):
     T = gamma.tensor
     P = b.reflection
     assert np.array_equal(T[P][:, P][:, :, P], T)
-    monkeypatch.setattr(nonlinear, "_mirror_half",
-                        lambda basis: np.arange(basis.n))
-    full = nonlinear._gamma_node_tensor(b)
-    assert np.abs(T - full).max() <= 1e-13 * np.abs(full).max()
+    _assert_blocks_match_dense(b, gamma)
     rng = np.random.default_rng(5)
     fs = rng.standard_normal((5, b.n))
     gs = rng.standard_normal((5, b.n))
