@@ -1,19 +1,21 @@
 """Command-line orchestration of the numerical studies.
 
-Each subcommand runs one study in one process (only the branch eigensolves
-and the node sweep of the Gamma build use more than one thread, see
-spectral.eig_workers) and writes its outputs plus a manifest into the
-output directory.  Exit codes: 0 success, 2 invalid configuration, 3
-numerical failure (a manifest is still written in that case, flagged as
-partial).  The cache directory for expensive kernels and tensors is taken
-from the MVPB_CACHE environment variable.
+Each subcommand runs one study in one process (only the branch eigensolves,
+the node sweep of the Gamma build and, at large n, the Gamma apply use more
+than one thread, see spectral.eig_workers) and writes its outputs plus a
+manifest into the output directory.  Exit codes: 0 success, 2 invalid
+configuration, 3 numerical failure (a manifest is still written in that
+case, flagged as partial).  The cache directory for expensive kernels and
+tensors is taken from the MVPB_CACHE environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
+import warnings
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .green import KineticWaves, SpaceGrid, linear_log_fit
 from .manifest import RunManifest, load_manifest, write_csv
 from .moments import (NSPEvolver, kinetic_moment_trajectory,
                       nsp_acoustic_speeds, nsp_damping_coefficients)
-from .nonlinear import build_gamma, decay_study
+from .nonlinear import build_gamma, decay_study, gamma_apply_plan
 from .spectral import blas_threads, eig_workers, eigen_branches
 from .velocity import VelocityBasis
 
@@ -172,6 +174,9 @@ def study_nonlinear(cfg, man):
             # threads of the node sweep; a cache hit sweeps nothing
             man.timings["gamma_cache"] = "miss"
             man.timings["gamma_workers"] = eig_workers()
+        # threads of the apply on the stepper's (nx, n) fields
+        man.timings["gamma_apply_workers"] = gamma_apply_plan(gamma,
+                                                              grid.nx)[1]
     rep = decay_study(op0, grid, gamma, t_end=cfg.t_end, dt=cfg.dt,
                       delta0=cfg.delta0, gamma0=cfg.gamma0)
     rows = [(r["t"], r["sup_f"], r["sup_dvf"], r["sup_phi"], r["sup_dphi"],
@@ -329,14 +334,27 @@ def main(argv=None):
 
     os.makedirs(cfg.out, exist_ok=True)
     man = RunManifest(cfg, cfg.out)
+    caught = []
     try:
-        STUDY_FUNCS[cfg.study](cfg, man)
+        # the warnings the caller's filters let through are recorded, then
+        # re-emitted after the study, so the caller still sees each once
+        with warnings.catch_warnings(record=True) as caught:
+            STUDY_FUNCS[cfg.study](cfg, man)
         status = 0
     except NUMERICAL_ERRORS as exc:
         man.partial = True
         man.error = f"{type(exc).__name__}: {exc}"
         sys.stderr.write(f"numerical failure: {man.error}\n")
         status = 3
+    finally:
+        for w in caught:
+            man.warnings.append({"category": w.category.__name__,
+                                 "message": str(w.message)})
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, source=w.source)
+    # ru_maxrss is in KiB on Linux
+    man.timings["peak_rss_mb"] = \
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     man.write()
     return status
 

@@ -142,6 +142,11 @@ def scattering_kernel(v1, vr, v1s, vrs, cosphi):
     return gain - loss
 
 
+#: entries of each scattering_kernel block in reduced_kernel (rows x n x
+#: azimuths): its temporaries stay cache-sized, a few MB at any grid
+KERNEL_CHUNK_ENTRIES = 1 << 16
+
+
 def reduced_kernel(basis, nphi=128):
     """Both azimuthal harmonics of the kernel on all node pairs, (2, n, n).
 
@@ -159,6 +164,14 @@ def reduced_kernel(basis, nphi=128):
       kernel values of a filled row are those of its own evaluation bit for
       bit, and km[:, P][:, :, P] == km holds exactly.
 
+    The swept rows go through scattering_kernel in chunks of
+    KERNEL_CHUNK_ENTRIES // (n * azimuths) rows (at least one), so its
+    temporaries, about five arrays of the block's size, stay a few MB: at
+    n = 288 a budget of 2e6 entries made about 95 MB of them for a 1.3 MB
+    result and took twice as long.  Each row's azimuth sum is its own
+    GEMM in the batched matmul, so the kernel is the same bits for any
+    chunk size.
+
     The diagonal is left at zero; the singularity subtraction supplies it.
     """
     v1, vr, n = basis.v1, basis.vr, basis.n
@@ -171,7 +184,7 @@ def reduced_kernel(basis, nphi=128):
     P = basis.reflection
     rows = np.flatnonzero(np.arange(n) <= P)
     km = np.empty((2, n, n))
-    chunk = max(1, int(2e6 // (n * half)))
+    chunk = max(1, KERNEL_CHUNK_ENTRIES // (n * half))
     for c0 in range(0, rows.size, chunk):
         r = rows[c0:c0 + chunk]
         block = scattering_kernel(

@@ -44,7 +44,9 @@ class RunManifest:
     """Accumulates constants, timings and produced files during a study run.
 
     constants are the fitted results that reports compare; timings hold
-    where the time went and which caches hit, which no report checks.
+    where the time went, which caches hit and the peak memory, and
+    warnings the category and message of each warning the study raised;
+    no report checks these.
     """
 
     def __init__(self, config, out_dir):
@@ -54,6 +56,7 @@ class RunManifest:
         self.constants = {}
         self.timings = {}
         self.files = []
+        self.warnings = []
         self.partial = False
         self.error = None
 
@@ -80,6 +83,7 @@ class RunManifest:
             "constants": self.constants,
             "timings": self.timings,
             "files": self.files,
+            "warnings": self.warnings,
             "partial": self.partial,
             "error": self.error,
         }

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import mvpb
 from mvpb.cli import main
 from mvpb.config import SCHEMA, default_config
-from mvpb.errors import MemoryBudget
+from mvpb.errors import AliasingWarning, MemoryBudget
 
 
 @pytest.fixture(autouse=True)
@@ -187,7 +188,36 @@ def test_nonlinear_manifest_gamma_cache_miss_then_hit(tmp_path, monkeypatch):
     assert seen[0]["gamma_cache"] == "miss"
     assert seen[0]["gamma_build_s"] > 0
     assert seen[0]["gamma_workers"] >= 1
-    assert seen[1] == {"gamma_build_s": 0.0, "gamma_cache": "hit"}
+    assert seen[0]["gamma_apply_workers"] == 1
+    assert seen[1]["gamma_build_s"] == 0.0
+    assert seen[1]["gamma_cache"] == "hit"
+    assert "gamma_workers" not in seen[1]
+    assert seen[1]["gamma_apply_workers"] == 1
+    assert all(t["peak_rss_mb"] > 0 for t in seen)
+
+
+def test_green_manifest_lists_its_warning(tmp_path):
+    # a coarse box leaves spectral energy at the Nyquist mode; the
+    # warning goes into the manifest and still reaches the caller once
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["green", "--out", str(out), "--set", "n1=8",
+                   "--set", "nr=4", "--set", "nx=64",
+                   "--set", "box_half_length=20", "--set", "times=0.5,1"])
+    assert rc == 0
+    doc = _load_manifest(out)
+    assert [w["category"] for w in doc["warnings"]] == ["AliasingWarning"]
+    assert doc["warnings"][0]["message"].startswith("Nyquist mode carries")
+    assert [w.category for w in caught] == [AliasingWarning]
+    assert str(caught[0].message) == doc["warnings"][0]["message"]
+    assert doc["timings"]["peak_rss_mb"] > 0
+
+
+def test_coeffs_manifest_lists_no_warnings(tmp_path):
+    out = tmp_path / "run"
+    assert _run_coeffs(out) == 0
+    assert _load_manifest(out)["warnings"] == []
 
 
 @given(st.lists(st.floats(min_value=0.0, allow_nan=False,

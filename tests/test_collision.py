@@ -4,6 +4,7 @@ null space, coercivity, deflated inverse, and transport coefficients."""
 import hashlib
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,32 @@ def test_reduced_kernel_mirror_exact(n1, nr):
     P = b.reflection
     km = collision.reduced_kernel(b)
     assert np.array_equal(km[:, P][:, :, P], km)
+
+
+@pytest.mark.parametrize("n1, nr", [(9, 4), (16, 8)])
+def test_reduced_kernel_same_bits_for_any_chunk(monkeypatch, n1, nr):
+    # one swept row per chunk, the default budget and the former 2e6
+    # entries give the same kernel; odd n1 puts v1 = 0 rows in the sweep
+    b = VelocityBasis(n1, nr, 8.0, 0)
+    built = []
+    for entries in (1, collision.KERNEL_CHUNK_ENTRIES, 2_000_000):
+        monkeypatch.setattr(collision, "KERNEL_CHUNK_ENTRIES", entries)
+        built.append(collision.reduced_kernel(b))
+    assert all(np.array_equal(km, built[0]) for km in built[1:])
+
+
+def test_reduced_kernel_peak_memory():
+    # the chunked scattering kernel keeps the build's temporaries a few MB
+    # (about 4 MB traced at n = 288, 82 MB with a 2e6-entry budget); the
+    # result itself is 1.3 MB
+    b = VelocityBasis(24, 12, 8.0, 0)
+    tracemalloc.start()
+    try:
+        collision.reduced_kernel(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def _no_assembly(*args, **kwargs):

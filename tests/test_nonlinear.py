@@ -420,6 +420,60 @@ def test_gamma_reflection_equivariant(gamma32):
     assert np.array_equal(T[P][:, P][:, :, P], T)
 
 
+@pytest.mark.parametrize("size", ["n32", "n128"])
+def test_apply_gamma_same_bits_for_any_chunks_and_workers(
+        monkeypatch, gamma16, gamma32, size):
+    gamma = gamma32[1] if size == "n32" else gamma16
+    n = len(gamma.perm)
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal((3, 50, n))
+    g = rng.standard_normal((50, n))         # broadcast against f
+    want = apply_gamma(gamma, f, f), apply_gamma(gamma, f, g)
+    # every chunk goes to the pool when there are workers, also at n = 32;
+    # 150 rows leave a one-row tail at 149 rows per chunk
+    monkeypatch.setattr(nonlinear, "GAMMA_APPLY_THREAD_ENTRIES", 0)
+    monkeypatch.setattr(nonlinear, "GAMMA_APPLY_CACHE_ENTRIES", 0)
+    threads = threading.active_count()
+    for rows in (2, 7, 64, 149, 1000):
+        monkeypatch.setattr(nonlinear, "GAMMA_APPLY_MIN_ROWS", rows)
+        for workers in (1, 2):
+            monkeypatch.setattr(nonlinear, "eig_workers", lambda w=workers: w)
+            assert nonlinear.gamma_apply_plan(gamma, 150) == (
+                rows, min(workers, -(-150 // rows)))
+            got = apply_gamma(gamma, f, f), apply_gamma(gamma, f, g)
+            assert got[0].shape == got[1].shape == f.shape
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert threading.active_count() == threads
+
+
+def test_apply_gamma_plan_threads_large_blocks_only(monkeypatch, gamma16,
+                                                     gamma32):
+    monkeypatch.setattr(nonlinear, "eig_workers", lambda: 2)
+    # n = 32: 128-row chunks whose intermediate stays in L2, serial
+    assert nonlinear.gamma_apply_plan(gamma32[1], 1024) == (128, 1)
+    # n = 128: the block is large enough to repay the hand-off
+    assert nonlinear.gamma_apply_plan(gamma16, 1024) == (128, 2)
+    assert nonlinear.gamma_apply_plan(gamma16, 100) == (128, 1)
+
+
+def test_apply_gamma_worker_error_propagates(monkeypatch, gamma16):
+    monkeypatch.setattr(nonlinear, "eig_workers", lambda: 2)
+    calls = []
+
+    def fails_on_second_chunk(blocks, cf, cg, out):
+        calls.append(len(cf))
+        if len(calls) == 2:
+            raise FloatingPointError("chunk failed")
+        out[:] = 0.0
+
+    monkeypatch.setattr(nonlinear, "_apply_pairs", fails_on_second_chunk)
+    threads = threading.active_count()
+    f = np.ones((512, len(gamma16.perm)))
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        apply_gamma(gamma16, f, f)
+    assert threading.active_count() == threads
+
+
 def test_gamma_rule_mirror_exact_at_corner(bases16):
     # the corner rows, where |T| is largest, amplify any mirror asymmetry
     # of the rule about 1e5-fold (1.2e-10 of max |T| with v1 nodes mirrored
