@@ -167,7 +167,7 @@ def reduced_kernel(basis, nphi=128):
     The swept rows go through scattering_kernel in chunks of
     KERNEL_CHUNK_ENTRIES // (n * azimuths) rows (at least one), so its
     temporaries, about five arrays of the block's size, stay a few MB: at
-    n = 288 a budget of 2e6 entries made about 95 MB of them for a 1.3 MB
+    n = 288 a budget of 2e6 entries made about 90 MB of them for a 1.3 MB
     result and took twice as long.  Each row's azimuth sum is its own
     GEMM in the batched matmul, so the kernel is the same bits for any
     chunk size.

@@ -459,10 +459,13 @@ def test_apply_gamma_plan_threads_large_blocks_only(monkeypatch, gamma16,
 def test_apply_gamma_worker_error_propagates(monkeypatch, gamma16):
     monkeypatch.setattr(nonlinear, "eig_workers", lambda: 2)
     calls = []
+    lock = threading.Lock()
 
     def fails_on_second_chunk(blocks, cf, cg, out):
-        calls.append(len(cf))
-        if len(calls) == 2:
+        with lock:
+            calls.append(len(cf))
+            second = len(calls) == 2
+        if second:
             raise FloatingPointError("chunk failed")
         out[:] = 0.0
 
