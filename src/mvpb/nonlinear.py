@@ -315,6 +315,7 @@ class GammaTensor:
     perm: np.ndarray            # the reflection v1 -> -v1 of the nodes
     tag: tuple
     build_seconds: float = 0.0  # 0.0 when loaded from the cache
+    apply_workers: int = 0      # threads of the latest apply_gamma call
 
     @cached_property
     def pairs(self):
@@ -450,37 +451,10 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
     return GammaTensor(blocks, perm, tag, built)
 
 
-#: (rows x ne^2) entries of one apply chunk's block intermediate that stay
-#: in L2 (256 KB): the chunk size at small n
-GAMMA_APPLY_CACHE_ENTRIES = 1 << 15
-#: fewest rows of an apply chunk: every chunk streams its (ne, ne^2) block
-#: through the GEMM once, which fewer rows do not repay at large n
-GAMMA_APPLY_MIN_ROWS = 128
+#: rows of one apply chunk (see apply_gamma)
+GAMMA_APPLY_ROWS = 128
 #: block entries ne^3 from which the apply chunks run on worker threads
 GAMMA_APPLY_THREAD_ENTRIES = 1 << 17
-
-
-def gamma_apply_plan(gamma: GammaTensor, rows):
-    """(rows per chunk, worker threads) of apply_gamma on rows node fields.
-
-    A chunk has max(GAMMA_APPLY_MIN_ROWS, GAMMA_APPLY_CACHE_ENTRIES // ne^2)
-    rows.  At small n that keeps each block GEMM's (rows, ne^2)
-    intermediate in L2; at large n the floor bounds how often a chunk
-    streams the (ne, ne^2) block again.  Measured for 1024 rows on one
-    BLAS thread: at n = 32, 128 rows took 0.95 ms against 1.8 ms in one
-    chunk; at n = 128, 128 and 256 rows were equally fast and 8 rows took
-    twice as long; at n = 288, 128 rows took 0.39 s against 0.48 s with
-    the 50 rows of a 2^20-entry budget.  The chunks run on eig_workers()
-    threads (the GEMMs release the GIL) only when a block has at least
-    GAMMA_APPLY_THREAD_ENTRIES entries: a second thread made the apply
-    slower at n = 32 and 72, and took it from 43 to 26 ms at n = 128 and
-    from 0.39 to 0.22 s at n = 288.
-    """
-    ne = len(gamma.blocks[0])
-    step = max(GAMMA_APPLY_MIN_ROWS, GAMMA_APPLY_CACHE_ENTRIES // ne ** 2)
-    if ne ** 3 < GAMMA_APPLY_THREAD_ENTRIES:
-        return step, 1
-    return step, max(1, min(eig_workers(), -(-rows // step)))
 
 
 def _row_chunks(rows, step):
@@ -526,10 +500,22 @@ def apply_gamma(gamma: GammaTensor, f, g):
     f and g map to their pair coordinates by one GEMM each with the pair
     matrix (GammaTensor.pairs), each parity block contracts in one GEMM
     and one batched mat-vec per row chunk, written in place, and the
-    result maps back by one GEMM with the transpose.  gamma_apply_plan
-    sizes the chunks by the block shapes and says whether they run on
-    worker threads; the chunks depend on the shapes alone, so the result
-    is the same bits on any worker count.
+    result maps back by one GEMM with the transpose.
+
+    A chunk has GAMMA_APPLY_ROWS rows.  At small n that keeps each block
+    GEMM's (rows, ne^2) intermediate in L2; at large n it bounds how often
+    a chunk streams the (ne, ne^2) block again.  Measured for 1024 rows on
+    one BLAS thread: at n = 32, 128 rows took 0.95 ms against 1.8 ms in
+    one chunk; at n = 128, 128 and 256 rows were equally fast and 8 rows
+    took twice as long; at n = 288, 128 rows took 0.39 s against 0.48 s
+    with 50 rows.  The chunks run on eig_workers() threads (the GEMMs
+    release the GIL) only when a block has at least
+    GAMMA_APPLY_THREAD_ENTRIES entries: a second thread made the apply
+    slower at n = 32 and 72, and took it from 43 to 26 ms at n = 128 and
+    from 0.39 to 0.22 s at n = 288.  The chunks depend on the shapes
+    alone, so the result is the same bits on any worker count; the count
+    used goes to gamma.apply_workers.
+
     Gamma(f, g) and Gamma(g, f) agree exactly in floating point.
     """
     Q = gamma.pairs
@@ -541,12 +527,15 @@ def apply_gamma(gamma: GammaTensor, f, g):
     cf = np.broadcast_to(f, shape).reshape(-1, n) @ Q
     cg = None if same else np.broadcast_to(g, shape).reshape(-1, n) @ Q
     out = np.empty(cf.shape, dtype=np.result_type(f, g, float))
-    step, workers = gamma_apply_plan(gamma, len(out))
 
     def chunk(sl):
         _apply_pairs(gamma.blocks, cf[sl], None if same else cg[sl], out[sl])
 
-    chunks = _row_chunks(len(out), step)
+    chunks = _row_chunks(len(out), GAMMA_APPLY_ROWS)
+    workers = 1
+    if len(gamma.blocks[0]) ** 3 >= GAMMA_APPLY_THREAD_ENTRIES:
+        workers = max(1, min(eig_workers(), len(chunks)))
+    gamma.apply_workers = workers
     if workers == 1:
         for sl in chunks:
             chunk(sl)

@@ -212,7 +212,7 @@ def eig_workers():
     """Threads for concurrent BLAS-bound work: usable CPUs // BLAS threads,
     >= 1.  It sizes the pool of the branch eigensolves here and those of the
     Gamma build's node sweep and the Gamma apply's row chunks
-    (nonlinear.build_gamma, nonlinear.gamma_apply_plan).
+    (nonlinear.build_gamma, nonlinear.apply_gamma).
 
     Without a BLAS thread count BLAS uses every CPU (the OpenBLAS default),
     so one worker: more would oversubscribe the CPUs.

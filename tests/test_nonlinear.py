@@ -421,39 +421,48 @@ def test_gamma_reflection_equivariant(gamma32):
 
 
 @pytest.mark.parametrize("size", ["n32", "n128"])
-def test_apply_gamma_same_bits_for_any_chunks_and_workers(
-        monkeypatch, gamma16, gamma32, size):
+def test_apply_gamma_same_bits_on_any_workers(monkeypatch, gamma16, gamma32,
+                                               size):
     gamma = gamma32[1] if size == "n32" else gamma16
     n = len(gamma.perm)
     rng = np.random.default_rng(11)
     f = rng.standard_normal((3, 50, n))
     g = rng.standard_normal((50, n))         # broadcast against f
     want = apply_gamma(gamma, f, f), apply_gamma(gamma, f, g)
+    scale = [np.abs(w).max() for w in want]
     # every chunk goes to the pool when there are workers, also at n = 32;
-    # 150 rows leave a one-row tail at 149 rows per chunk
+    # at 149 rows per chunk the one-row tail of 150 rows joins the chunk
     monkeypatch.setattr(nonlinear, "GAMMA_APPLY_THREAD_ENTRIES", 0)
-    monkeypatch.setattr(nonlinear, "GAMMA_APPLY_CACHE_ENTRIES", 0)
     threads = threading.active_count()
     for rows in (2, 7, 64, 149, 1000):
-        monkeypatch.setattr(nonlinear, "GAMMA_APPLY_MIN_ROWS", rows)
+        monkeypatch.setattr(nonlinear, "GAMMA_APPLY_ROWS", rows)
+        got = {}
         for workers in (1, 2):
             monkeypatch.setattr(nonlinear, "eig_workers", lambda w=workers: w)
-            assert nonlinear.gamma_apply_plan(gamma, 150) == (
-                rows, min(workers, -(-150 // rows)))
-            got = apply_gamma(gamma, f, f), apply_gamma(gamma, f, g)
-            assert got[0].shape == got[1].shape == f.shape
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            got[workers] = apply_gamma(gamma, f, f), apply_gamma(gamma, f, g)
+            chunks = len(nonlinear._row_chunks(150, rows))
+            assert gamma.apply_workers == min(workers, chunks)
             assert threading.active_count() == threads
+        # the same chunks give the same bits on any worker count
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], got[2]))
+        # BLAS need not round the same for other chunk sizes
+        for a, w, s in zip(got[1], want, scale):
+            assert a.shape == f.shape
+            assert np.abs(a - w).max() <= 1e-14 * s
 
 
-def test_apply_gamma_plan_threads_large_blocks_only(monkeypatch, gamma16,
-                                                     gamma32):
+def test_apply_gamma_threads_large_blocks_only(monkeypatch, gamma16,
+                                               gamma32):
     monkeypatch.setattr(nonlinear, "eig_workers", lambda: 2)
-    # n = 32: 128-row chunks whose intermediate stays in L2, serial
-    assert nonlinear.gamma_apply_plan(gamma32[1], 1024) == (128, 1)
-    # n = 128: the block is large enough to repay the hand-off
-    assert nonlinear.gamma_apply_plan(gamma16, 1024) == (128, 2)
-    assert nonlinear.gamma_apply_plan(gamma16, 100) == (128, 1)
+    # n = 32: serial, a second thread does not repay the hand-off
+    f = np.ones((1024, len(gamma32[1].perm)))
+    apply_gamma(gamma32[1], f, f)
+    assert gamma32[1].apply_workers == 1
+    # n = 128: the block is large enough, given two chunks to share
+    for rows, workers in ((1024, 2), (100, 1)):
+        f = np.ones((rows, len(gamma16.perm)))
+        apply_gamma(gamma16, f, f)
+        assert gamma16.apply_workers == workers
 
 
 def test_apply_gamma_worker_error_propagates(monkeypatch, gamma16):
