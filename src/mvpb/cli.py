@@ -313,7 +313,11 @@ def main(argv=None):
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, _, raw = item.partition("=")
-            overrides[key.strip()] = raw.strip()
+            key = key.strip()
+            if key == "study":
+                raise ConfigError("study is set by the subcommand, not by "
+                                  f"--set (got {item!r})")
+            overrides[key] = raw.strip()
         if args.out is not None:
             overrides["out"] = args.out
         cfgmod.apply_overrides(cfg, overrides)

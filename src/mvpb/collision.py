@@ -257,9 +257,6 @@ class CollisionOperator:
 
     # ------------------------------------------------------------------ #
 
-    def apply_K(self, f):
-        return np.asarray(f) @ self.Kmat.T
-
     def apply_L(self, f):
         return np.asarray(f) @ self.Lmat.T
 

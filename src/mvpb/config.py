@@ -44,11 +44,14 @@ def _bool(s):
 SCHEMA = {
     "study": (str, "coeffs", lambda s: s in STUDIES,
               "one of " + ", ".join(STUDIES)),
-    "n1": (int, 24, _positive, "longitudinal velocity nodes per sector"),
+    "n1": (int, 24, lambda n: n >= 3,
+           "longitudinal velocity nodes per sector, at least 3"),
     "nr": (int, 12, _positive, "transverse speed nodes"),
-    "vmax": (float, 8.0, _positive, "velocity box half-width"),
+    "vmax": (float, 8.0, lambda x: x >= 6.0,
+             "velocity box half-width, at least 6"),
     "nphi": (int, 128, _positive, "azimuthal quadrature size for the kernel"),
-    "nx": (int, 1024, _positive, "spatial grid points"),
+    "nx": (int, 1024, lambda n: n > 0 and n % 2 == 0,
+           "spatial grid points, even"),
     "box_half_length": (float, 200.0, _positive, "spatial half-box"),
     "eta_max": (float, 0.5, _positive, "branch-continuation frequency cap"),
     "steps": (int, 33, lambda n: n >= 2, "continuation steps"),
@@ -99,6 +102,11 @@ def apply_overrides(cfg: RunConfig, overrides):
         if not check(val):
             raise ConfigError(f"{key} = {val!r} out of range ({doc})")
         cfg.values[key] = val
+    # sector 0 has three invariants: n = n1 * nr >= 4 leaves it a micro
+    # spectrum (n1 >= 3 is the three-point d/dv1 stencil)
+    if cfg.n1 * cfg.nr < 4:
+        raise ConfigError(f"n1 * nr = {cfg.n1 * cfg.nr} out of range "
+                          f"(n1 = {cfg.n1}, nr = {cfg.nr}; at least 4)")
 
 
 def parse_config(path):

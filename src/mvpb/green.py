@@ -80,20 +80,9 @@ class SpaceGrid:
         c *= self._along(symbol, field.ndim, axis)
         return np.fft.irfft(c, n=self.nx, axis=axis)
 
-    def derivative_coefficients(self, coef, axis=-1, order=1):
-        c = np.moveaxis(np.asarray(coef, dtype=complex), axis, -1)
-        c = c * (1j * self.eta) ** order
-        return np.moveaxis(c, -1, axis)
-
-    def derivative(self, field, axis=-1, order=1):
-        """order-th x-derivative of a real field along axis."""
-        return self.apply_multiplier(field, (1j * self.eta) ** order, axis)
-
-    def poisson_coefficients(self, coef, axis=-1):
-        """(I - d_xx)^{-1} in frequency space."""
-        c = np.moveaxis(np.asarray(coef, dtype=complex), axis, -1)
-        c = c / (1.0 + self.eta ** 2)
-        return np.moveaxis(c, -1, axis)
+    def derivative(self, field, axis=-1):
+        """x-derivative of a real field along axis."""
+        return self.apply_multiplier(field, 1j * self.eta, axis)
 
     def poisson_kernel(self):
         """Physical kernel of (I - d_xx)^{-1}; continuum limit exp(-|x|)/2."""
@@ -165,13 +154,13 @@ class FluidPart:
     term per fluid branch of the sector-0 operator.
     """
 
-    def __init__(self, op: CollisionOperator, grid: SpaceGrid, r0_hat, mu_hat=None):
+    def __init__(self, op: CollisionOperator, grid: SpaceGrid, r0_hat):
         self.op = op
         self.grid = grid
         self.cut = r0_hat / 2.0
         self.mode_idx = np.where(grid.eta < self.cut)[0]
         self.etas = grid.eta[self.mode_idx]
-        bs = eigen_branches_at(op, self.etas, mu_hat=mu_hat)
+        bs = eigen_branches_at(op, self.etas)
         self.lam = bs.lam                       # (nb, nm)
         self.psi = bs.psi                       # (nb, nm, n)
         self.amp = 1.0 / (2.0 * grid.L)

@@ -71,17 +71,19 @@ def nsp_symbol(eta, kappa1, kappa2, coupled=True):
     ], dtype=complex)
 
 
-def nsp_acoustic_speeds(kappa1, kappa2, coupled=True, eta=1e-4):
-    """Long-wave signal speeds from the symbol eigenvalues."""
+def nsp_acoustic_speeds(kappa1, kappa2, coupled=True):
+    """Long-wave signal speeds from the symbol eigenvalues at eta = 1e-4."""
+    eta = 1e-4
     lam = np.linalg.eigvals(nsp_symbol(eta, kappa1, kappa2, coupled))
     return np.sort(-np.imag(lam) / eta)
 
 
-def nsp_damping_coefficients(kappa1, kappa2, coupled=True, eta=1e-3):
-    """Quadratic damping rates a_j of the symbol branches.
+def nsp_damping_coefficients(kappa1, kappa2, coupled=True):
+    """Quadratic damping rates a_j of the symbol branches at eta = 1e-3.
 
     Returns the rates sorted by branch speed (-c, 0, +c).
     """
+    eta = 1e-3
     lam = np.linalg.eigvals(nsp_symbol(eta, kappa1, kappa2, coupled))
     order = np.argsort(-np.imag(lam) / eta)
     return -np.real(lam[order]) / eta ** 2
@@ -186,11 +188,7 @@ def _v1_derivative_matrix(basis: VelocityBasis):
     return D1
 
 
-def apply_v1_derivative(basis: VelocityBasis, f_field, order=1):
-    """d^order/dv1^order of an (..., n) velocity field."""
-    D1 = _v1_derivative_matrix(basis)
-    shape = f_field.shape
+def apply_v1_derivative(basis: VelocityBasis, f_field):
+    """d/dv1 of an (..., n) velocity field."""
     f = np.asarray(f_field).reshape(-1, basis.n1, basis.nr)
-    for _ in range(order):
-        f = D1 @ f
-    return f.reshape(shape)
+    return (_v1_derivative_matrix(basis) @ f).reshape(f_field.shape)

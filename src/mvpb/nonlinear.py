@@ -457,16 +457,6 @@ GAMMA_APPLY_ROWS = 128
 GAMMA_APPLY_THREAD_ENTRIES = 1 << 17
 
 
-def _row_chunks(rows, step):
-    """Slices of step rows covering range(rows); a one-row tail joins the
-    chunk before it, as numpy contracts a single row by a matrix-vector
-    kernel whose rounding differs from the GEMM's."""
-    bounds = list(range(0, rows, step)) + [rows]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def _block(X, x, y):
     """sum_{bc} X[b, a, c] x[r, b] y[r, c] for every row r."""
     nb, na, nc = X.shape
@@ -531,7 +521,8 @@ def apply_gamma(gamma: GammaTensor, f, g):
     def chunk(sl):
         _apply_pairs(gamma.blocks, cf[sl], None if same else cg[sl], out[sl])
 
-    chunks = _row_chunks(len(out), GAMMA_APPLY_ROWS)
+    chunks = [slice(a, a + GAMMA_APPLY_ROWS)
+              for a in range(0, len(out), GAMMA_APPLY_ROWS)]
     workers = 1
     if len(gamma.blocks[0]) ** 3 >= GAMMA_APPLY_THREAD_ENTRIES:
         workers = max(1, min(eig_workers(), len(chunks)))
@@ -809,11 +800,10 @@ DECAY_SAMPLE_EVERY = 10
 
 
 def decay_study(op: CollisionOperator, grid: SpaceGrid, gamma: GammaTensor,
-                t_end=60.0, dt=0.1, delta0=1e-3, gamma0=1.0, progress=None):
+                t_end=60.0, dt=0.1, delta0=1e-3, gamma0=1.0):
     """Integrate the full system and collect the pointwise-decay report.
 
-    Diagnostics are sampled every DECAY_SAMPLE_EVERY steps and at t_end;
-    progress, if given, is called with each sampled row.
+    Diagnostics are sampled every DECAY_SAMPLE_EVERY steps and at t_end.
 
     Returns a dict with the diagnostic time series and fitted exponents of
     the weighted velocity sup norm and of the field gradients over
@@ -827,8 +817,6 @@ def decay_study(op: CollisionOperator, grid: SpaceGrid, gamma: GammaTensor,
         state = stepper.step(state)
         if k % DECAY_SAMPLE_EVERY == 0 or k == nsteps:
             rows.append(state_diagnostics(stepper, state))
-            if progress:
-                progress(rows[-1])
     ts = np.array([r["t"] for r in rows])
     sel = ts >= 10.0
     x = np.log1p(ts[sel])

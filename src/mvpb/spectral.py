@@ -269,19 +269,18 @@ def _normalize_bilinear(basis, psi, eta):
     return psi
 
 
-def eigen_branches(op: CollisionOperator, eta_max=0.5, steps=33, mu_hat=None):
+def eigen_branches(op: CollisionOperator, eta_max=0.5, steps=33):
     """Continue the fluid branches on a uniform grid up to eta_max."""
-    return eigen_branches_at(op, np.linspace(0.0, eta_max, steps),
-                             mu_hat=mu_hat)
+    return eigen_branches_at(op, np.linspace(0.0, eta_max, steps))
 
 
-def eigen_branches_at(op: CollisionOperator, etas, mu_hat=None):
+def eigen_branches_at(op: CollisionOperator, etas):
     """Continue the fluid eigenvalue branches of one sector from eta = 0.
 
-    Eigenvalues with real part above -mu_hat/2 are classified as fluid;
-    branches are matched step to step by eigenvector overlap and normalized
-    in the bilinear eta-pairing.  The continuation stops (recording r0_hat)
-    when the fluid count changes or the overlap drops.
+    Eigenvalues with real part above -op.micro_gap()/2 are classified as
+    fluid; branches are matched step to step by eigenvector overlap and
+    normalized in the bilinear eta-pairing.  The continuation stops
+    (recording r0_hat) when the fluid count changes or the overlap drops.
 
     The matrices are built here, in eta order, and only their eigensolves
     go to a pool of eig_workers() threads, at most that many in flight;
@@ -290,8 +289,7 @@ def eigen_branches_at(op: CollisionOperator, etas, mu_hat=None):
     before returning.
     """
     b = op.basis
-    if mu_hat is None:
-        mu_hat = op.micro_gap()
+    mu_hat = op.micro_gap()
     nb = 3 if b.sector == 0 else 1
     etas = np.asarray(etas, dtype=float)
     if etas[0] != 0.0:
@@ -492,16 +490,17 @@ def dispersion_acoustic(op0: CollisionOperator, eta):
     return fn
 
 
-def newton_root(fn, sigma0, tol=1e-12, maxit=50):
-    """Complex Newton iteration on a function returning (value, derivative)."""
+def newton_root(fn, sigma0):
+    """Complex Newton iteration on a function returning (value, derivative),
+    to a relative step below 1e-12 within 50 iterations."""
     sigma = complex(sigma0)
-    for _ in range(maxit):
+    for _ in range(50):
         val, der = fn(sigma)
         if abs(der) < 1e-300:
             raise NoConvergence("vanishing derivative in dispersion Newton")
         step = val / der
         sigma -= step
-        if abs(step) < tol * max(1.0, abs(sigma)):
+        if abs(step) < 1e-12 * max(1.0, abs(sigma)):
             return sigma
     raise NoConvergence(f"dispersion Newton did not converge (last step {abs(step):.2e})")
 
@@ -591,21 +590,21 @@ def eta_operator_norm(basis, A, eta, chol=None):
 EIGEN_COND_MAX = 1e9
 
 
-def semigroup_split(op: CollisionOperator, eta, ts, r0_hat, mu_hat=None):
+def semigroup_split(op: CollisionOperator, eta, ts, r0_hat):
     """Split exp(t B(eta)) into the fluid rank-nb part and the remainder.
 
     Returns dict with S(t), S1(t), S2(t) (arrays over ts), the eta-metric
     operator norms ``norm_S2`` of the remainder and the largest eigenvalue
     condition number ``eigbasis_cond``.  S(t) is the propagator of the
     real form.  S1 and S2 are spectral sums over the eigenvalues with
-    Re > -mu_hat/2 and the rest; W_eta B is complex symmetric, so the dual
-    of an eigenvector v is W_eta v / (v, v)_eta.  For |eta| > r0_hat, S1 is
-    zero and S2 = S whatever the spectrum: no eigensolve is made and
-    ``eigbasis_cond`` is None.  Other norms come from eta_operator_norm.
+    Re > -op.micro_gap()/2 and the rest; W_eta B is complex symmetric, so
+    the dual of an eigenvector v is W_eta v / (v, v)_eta.  For |eta| >
+    r0_hat, S1 is zero and S2 = S whatever the spectrum: no eigensolve is
+    made and ``eigbasis_cond`` is None.  Other norms come from
+    eta_operator_norm.
     """
     b = op.basis
-    if mu_hat is None:
-        mu_hat = op.micro_gap()
+    mu_hat = op.micro_gap()
     perm = b.reflection
     Br = real_form(mode_matrix(op, eta), perm)
     ts = np.asarray(ts, dtype=float)

@@ -28,19 +28,19 @@ def maxwellian(v1, vr):
     return np.exp(-(v1 ** 2 + vr ** 2) / 2.0) / (2.0 * np.pi) ** 1.5
 
 
-def gauss_rule(weight, a, b, n, symmetric=False, npanels=80, order=24):
+def gauss_rule(weight, a, b, n, symmetric=False):
     """Gauss quadrature for an arbitrary positive weight on [a, b].
 
     Builds the three-term recurrence by the Stieltjes procedure on a fine
-    composite Gauss-Legendre discretization of the measure, then solves the
-    Jacobi matrix (Golub-Welsch).  Exact for polynomials of degree
-    <= 2n - 1 against the weight.  ``symmetric=True`` (an even weight on a
+    composite Gauss-Legendre discretization of the measure (80 panels of
+    24 nodes), then solves the Jacobi matrix (Golub-Welsch).  Exact for
+    polynomials of degree <= 2n - 1 against the weight.  ``symmetric=True`` (an even weight on a
     symmetric interval) zeroes the recurrence diagonal and averages the
     nodes and weights of eigh with their mirrors: x[::-1] == -x and
     w[::-1] == w hold exactly, not just to round-off.
     """
-    xg, wg = leggauss(order)
-    edges = np.linspace(a, b, npanels + 1)
+    xg, wg = leggauss(24)
+    edges = np.linspace(a, b, 81)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     X = (mid[:, None] + half[:, None] * xg[None, :]).ravel()

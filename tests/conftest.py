@@ -5,12 +5,17 @@ under MVPB_CACHE and shared session-wide, so repeated runs only pay the
 assembly cost once.  Without MVPB_CACHE the directory is a temp directory
 named by a digest of the sources that build those objects, so a change
 to how a kernel or Gamma is built is tested against a fresh build, not
-against a file an older build wrote under the same tag.
+against a file an older build wrote under the same tag.  The other
+digests' directories there are removed once a day has passed since they
+last changed.
 """
 
 import hashlib
 import os
+import re
+import shutil
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -30,8 +35,28 @@ def _build_source_digest():
     return h.hexdigest()[:12]
 
 
-CACHE = os.environ.get("MVPB_CACHE") or os.path.join(
-    tempfile.gettempdir(), "mvpb-cache-" + _build_source_digest())
+def session_cache(tmpdir):
+    """MVPB_CACHE if set, else <tmpdir>/mvpb-cache-<source digest>.
+
+    In the second case every other <tmpdir>/mvpb-cache-<12 hex> directory
+    last modified more than a day ago is removed first.
+    """
+    if os.environ.get("MVPB_CACHE"):
+        return os.environ["MVPB_CACHE"]
+    keep = os.path.join(tmpdir, "mvpb-cache-" + _build_source_digest())
+    stale = time.time() - 86400.0
+    with os.scandir(tmpdir) as entries:
+        for entry in entries:
+            if (re.fullmatch("mvpb-cache-[0-9a-f]{12}", entry.name)
+                    and entry.path != keep
+                    and entry.is_dir(follow_symlinks=False)
+                    and entry.stat(follow_symlinks=False).st_mtime < stale):
+                # another session may be removing it too
+                shutil.rmtree(entry.path, ignore_errors=True)
+    return keep
+
+
+CACHE = session_cache(tempfile.gettempdir())
 os.makedirs(CACHE, exist_ok=True)
 
 

@@ -349,12 +349,17 @@ def test_criterion_11_oracle_equivalences(ops16, gamma16, rng):
         step_err = max(step_err,
                        float(np.abs(out.coef[k] - P @ state.coef[k]).max()))
 
-    # bilinear tensor against direct quadrature on 5 random pairs
+    # bilinear tensor against direct quadrature on 5 random pairs, and on
+    # two of them with g = f: apply_gamma(f, f) is the stepper's call, and
+    # it takes its own path when f is g
     fs = rng.standard_normal((5, b.n))
     gs = rng.standard_normal((5, b.n))
-    direct = gamma_direct(b, fs, gs)
-    tens = apply_gamma(gamma16, fs, gs)
-    scale = np.linalg.norm(fs, axis=1) * np.linalg.norm(gs, axis=1)
+    ff = fs[:2]
+    F, G = np.vstack([fs, ff]), np.vstack([gs, ff])
+    direct = gamma_direct(b, F, G)
+    tens = np.vstack([apply_gamma(gamma16, fs, gs),
+                      apply_gamma(gamma16, ff, ff)])
+    scale = np.linalg.norm(F, axis=1) * np.linalg.norm(G, axis=1)
     gam_err = float((np.abs(tens - direct).max(axis=1) / scale).max())
 
     # field inverse against the exponential kernel (fine grid: the kernel

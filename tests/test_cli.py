@@ -92,6 +92,40 @@ def test_invalid_value_exit_2(tmp_path):
     assert main(["coeffs", "--out", str(tmp_path), "--set", "n1=-4"]) == 2
 
 
+@pytest.mark.parametrize("study, settings, key", [
+    ("coeffs", ["study=report"], "study"),
+    ("coeffs", ["study=dispersion"], "study"),
+    ("green", ["nx=255"], "nx"),
+    ("nonlinear", ["nx=255"], "nx"),
+    ("coeffs", ["vmax=5"], "vmax"),
+    ("coeffs", ["n1=3", "nr=1"], "n1 * nr"),
+    ("dispersion", ["n1=3", "nr=1"], "n1 * nr"),
+    ("nonlinear", ["n1=2"], "n1"),
+    # the bounds themselves are accepted
+    ("coeffs", ["vmax=6"], None),
+    ("coeffs", ["n1=4", "nr=1"], None),
+    ("dispersion", ["n1=4", "nr=1"], None),
+    ("dispersion", ["n1=3", "nr=2"], None),
+])
+def test_unrunnable_config_exit_2(tmp_path, capsys, study, settings, key):
+    # each rejected input used to end in a traceback, a NaN field (exit 3)
+    # or another study; the error now names the key
+    out = tmp_path / "run"
+    args = [study, "--out", str(out), "--set", "n1=4", "--set", "nr=2"]
+    for item in settings:
+        args += ["--set", item]
+    rc = main(args)
+    err = capsys.readouterr().err
+    if key is None:
+        assert rc == 0
+        assert _load_manifest(out)["study"] == study
+        return
+    assert rc == 2
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out / "manifest.json")
+
+
 @pytest.mark.parametrize("times", ["1,a", "-1,2", "1,,2", "nan", "1,inf"])
 def test_bad_times_exit_2(tmp_path, capsys, times):
     out = tmp_path / "run"

@@ -4,6 +4,7 @@ null space, coercivity, deflated inverse, and transport coefficients."""
 import hashlib
 import os
 import stat
+import time
 import tracemalloc
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_equilibrium_identity(ops24):
     for op in ops24:
         b = op.basis
         chi = b.invariants[0]
-        res = op.apply_K(chi) - op.nu * chi
+        res = chi @ op.Kmat.T - op.nu * chi
         assert b.norm(res) / b.norm(chi) <= 1e-4
 
 
@@ -346,6 +347,35 @@ def test_cache_files_get_open_mode(tmp_path):
     for name in names:
         mode = stat.S_IMODE(os.stat(os.path.join(tmp_path, name)).st_mode)
         assert mode == want, name
+
+
+def test_session_cache_prunes_stale_digests(tmp_path, monkeypatch):
+    # tests/conftest.py: without MVPB_CACHE, another digest's cache
+    # directory under the temp directory goes once it is a day old
+    import conftest
+    monkeypatch.delenv("MVPB_CACHE", raising=False)
+    current = "mvpb-cache-" + conftest._build_source_digest()
+    stale = ["mvpb-cache-0123456789ab", "mvpb-cache-ffffffffffff"]
+    kept = [current, "mvpb-cache-0123456789a", "mvpb-cache-0123456789abc",
+            "mvpb-cache-0123456789AB", "mvpb-cache-x", "other"]
+    old = time.time() - 2 * 86400.0
+    for name in stale + kept:
+        os.makedirs(tmp_path / name / "sub")
+        os.utime(tmp_path / name, (old, old))
+    fresh = tmp_path / "mvpb-cache-aaaaaaaaaaaa"
+    os.makedirs(fresh)
+    plain_file = tmp_path / "mvpb-cache-bbbbbbbbbbbb"
+    plain_file.write_bytes(b"")
+    os.utime(plain_file, (old, old))
+    assert conftest.session_cache(str(tmp_path)) == str(tmp_path / current)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        kept + [fresh.name, plain_file.name])
+    # with MVPB_CACHE set nothing is removed
+    os.makedirs(tmp_path / stale[0])
+    os.utime(tmp_path / stale[0], (old, old))
+    monkeypatch.setenv("MVPB_CACHE", str(tmp_path / "elsewhere"))
+    assert conftest.session_cache(str(tmp_path)) == str(tmp_path / "elsewhere")
+    assert os.path.isdir(tmp_path / stale[0])
 
 
 def test_solve_micro_raises_on_bad_tolerance(ops16):

@@ -431,7 +431,7 @@ def test_apply_gamma_same_bits_on_any_workers(monkeypatch, gamma16, gamma32,
     want = apply_gamma(gamma, f, f), apply_gamma(gamma, f, g)
     scale = [np.abs(w).max() for w in want]
     # every chunk goes to the pool when there are workers, also at n = 32;
-    # at 149 rows per chunk the one-row tail of 150 rows joins the chunk
+    # at 149 rows per chunk the 150 rows end in a one-row chunk
     monkeypatch.setattr(nonlinear, "GAMMA_APPLY_THREAD_ENTRIES", 0)
     threads = threading.active_count()
     for rows in (2, 7, 64, 149, 1000):
@@ -440,7 +440,7 @@ def test_apply_gamma_same_bits_on_any_workers(monkeypatch, gamma16, gamma32,
         for workers in (1, 2):
             monkeypatch.setattr(nonlinear, "eig_workers", lambda w=workers: w)
             got[workers] = apply_gamma(gamma, f, f), apply_gamma(gamma, f, g)
-            chunks = len(nonlinear._row_chunks(150, rows))
+            chunks = -(-150 // rows)
             assert gamma.apply_workers == min(workers, chunks)
             assert threading.active_count() == threads
         # the same chunks give the same bits on any worker count
@@ -631,7 +631,7 @@ def test_gamma_odd_n1_half_sweep_matches_full_sweep():
     assert err.max() <= 1e-6
 
 
-def test_gamma_tensor_matches_direct_quadrature(tmp_path):
+def test_gamma_tensor_matches_direct_quadrature(tmp_path, gamma32):
     # the tensor assembly against the direct sum over the same sweep
     b = VelocityBasis(4, 2, 8.0, 0)
     gamma = _tiny_gamma(tmp_path)
@@ -641,6 +641,12 @@ def test_gamma_tensor_matches_direct_quadrature(tmp_path):
     direct = gamma_direct(b, fs, gs)
     tens = apply_gamma(gamma, fs, gs)
     assert np.abs(tens - direct).max() <= 1e-10 * np.abs(direct).max()
+    # f is g, the stepper's call, at n = 32 within criterion 11's bound
+    # (criterion 11 checks it at n = 128)
+    b, gamma = gamma32
+    fs = rng.standard_normal((3, b.n))
+    err = np.abs(apply_gamma(gamma, fs, fs) - gamma_direct(b, fs, fs))
+    assert (err.max(axis=1) / np.linalg.norm(fs, axis=1) ** 2).max() <= 1e-6
 
 
 def _full_quadrature(basis):
