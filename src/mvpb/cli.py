@@ -1,8 +1,9 @@
 """Command-line orchestration of the numerical studies.
 
 Each subcommand runs one study in one process (only the branch eigensolves,
-the node sweep of the Gamma build and, at large n, the Gamma apply use more
-than one thread, see spectral.eig_workers) and writes its outputs plus a
+the node sweep of the Gamma build, at large n the Gamma apply, and the
+mode blocks of the kinetic waves use more than one thread, see
+spectral.eig_workers) and writes its outputs plus a
 manifest into the output directory.  Exit codes: 0 success, 2 invalid
 configuration, 3 numerical failure (a manifest is still written in that
 case, flagged as partial).  The cache directory for expensive kernels and
@@ -114,6 +115,8 @@ def study_waves(cfg, man):
     grid = SpaceGrid(cfg.box_half_length, cfg.nx)
     ts = [t for t in cfg.sample_times() if t > 0]
     b = op0.basis
+    man.timings["eig_workers"] = eig_workers()
+    man.timings["blas_threads"] = blas_threads()
     kw = KineticWaves(op0, grid, [b.invariants[0]], ts, levels=cfg.levels)
     rows = []
     amps = []

@@ -99,6 +99,8 @@ def apply_overrides(cfg: RunConfig, overrides):
             val = parser(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})")
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"{key} = {val!r} is not finite ({doc})")
         if not check(val):
             raise ConfigError(f"{key} = {val!r} out of range ({doc})")
         cfg.values[key] = val

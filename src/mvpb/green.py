@@ -15,14 +15,15 @@ the application of the operator to a fixed family of velocity profiles.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .collision import CollisionOperator
 from .errors import AliasingWarning, IllConditioned
-from .spectral import (eigen_branches_at, from_real_form, mode_matrix,
-                       propagate, real_form, to_real_form)
+from .spectral import (eig_workers, eigen_branches_at, from_real_form,
+                       mode_matrix, propagate, real_form, to_real_form)
 
 
 class SpaceGrid:
@@ -192,6 +193,8 @@ class FluidPart:
 #: Picard step length and Gauss collocation nodes per step of KineticWaves
 WAVE_INTERVAL = 0.5
 WAVE_NODES = 4
+#: frequency modes per block of the KineticWaves march
+WAVE_BLOCK_MODES = 16
 
 
 def _exp_moments(c, delta, p):
@@ -220,7 +223,7 @@ def _step_table(c, h):
     tau = (leggauss(p)[0] + 1.0) / 2.0
     targets = np.append(tau, 1.0) * h
     I, E = _exp_moments(np.broadcast_to(c, (p + 1,) + c.shape),
-                        targets[:, None, None], p)         # (p, p+1, nh, n)
+                        targets[:, None, None], p)     # (p, p+1, modes, n)
     I = I / (h ** np.arange(p))[:, None, None, None]
     # source monomial coefficients from its node values
     Vinv = np.linalg.inv(np.vander(tau, p, increasing=True))
@@ -241,6 +244,19 @@ class KineticWaves:
     below at WAVE_NODES Gauss nodes, interpolated by a polynomial and
     integrated exactly against the exponential, so the only error is that
     interpolation.
+
+    The recursion is independent per eta, so eta is the outer loop: the
+    modes split into blocks of WAVE_BLOCK_MODES, and each block builds its
+    own step tables, marches every level over every edge and writes its
+    slice of wave_sum and top.  The blocks run on eig_workers() threads
+    (the GEMMs and large ufuncs release the GIL); a worker's working set
+    is one block's tables, not the grid's.  Measured on one BLAS thread
+    and 2 CPUs at n = 128, nx = 256, levels 7, times 1, 2, 4, 8: blocks of
+    8, 16 and 32 took 0.33, 0.26 and 0.24 s at a traced peak of 5.1, 6.7
+    and 10.1 MB, and the benchmark's green sequence peaked at 78, 80 and
+    80-82 MB resident; one whole-grid block took 0.38-0.48 s, 16.8 MB and
+    85 MB.  The blocks depend on the shapes alone, so the result is the
+    same bits on any worker count.
     """
 
     def __init__(self, op: CollisionOperator, grid: SpaceGrid, seeds, out_ts,
@@ -255,16 +271,12 @@ class KineticWaves:
         eta = grid.eta
         amp = 1.0 / (2.0 * grid.L)
 
-        Keff = (op.Lmat + np.diag(op.nu)).astype(complex)
+        KeffT = (op.Lmat + np.diag(op.nu)).T.copy()           # real
         chi0 = b.invariants_raw[0]
         mass_w = chi0 * b.w
         c = (op.nu[None, :] + 1j * np.outer(eta, b.v1))        # (nh, n)
         src_field = 1j * np.outer(eta, b.v1 * chi0)            # (nh, n)
         s_eta = 1.0 / (1.0 + eta ** 2)
-
-        def source(J):
-            theta = -(J @ mass_w) * s_eta
-            return J @ Keff.T + theta[..., None] * src_field
 
         T = float(self.out_ts.max())
         nsteps = int(np.ceil(T / WAVE_INTERVAL - 1e-12))
@@ -277,33 +289,51 @@ class KineticWaves:
                 edges.append(t)
         edges = np.sort(edges)
 
-        # running values at the current step start, per level
-        J_start = np.zeros((self.levels, ns, grid.nh, n), dtype=complex)
-        J_start[0] = amp * self.seeds[:, None, :]
         # wave_sum excludes the top level: the highest computed front is the
         # leading term of the remainder, not part of the truncated wave sum
         self.wave_sum = np.zeros((ns, len(self.out_ts), grid.nh, n), dtype=complex)
         self.top = np.zeros_like(self.wave_sum)
-        self._record(0.0, J_start)
 
-        tables = {}
-        for t0, t1 in zip(edges[:-1], edges[1:]):
-            h = t1 - t0
-            if h not in tables:
-                tables[h] = _step_table(c, h)
-            E, W = tables[h]
-            J = J_start[0] * E[:, None]
-            J_start[0] = J[-1]
-            for Jk in J_start[1:]:
-                J = Jk * E[:, None] + np.einsum("dqkn,qskn->dskn", W,
-                                                source(J[:-1]))
-                Jk[...] = J[-1]
-            self._record(t1, J_start)
+        def march(modes):
+            """Every level over every edge for one block of modes."""
+            c_b, field_b, s_b = c[modes], src_field[modes], s_eta[modes]
 
-    def _record(self, t, J_levels):
+            def source(J):
+                # two real GEMMs: half the flops of one complex GEMM
+                out = np.empty(J.shape, dtype=complex)
+                np.matmul(J.real, KeffT, out=out.real)
+                np.matmul(J.imag, KeffT, out=out.imag)
+                theta = -(J @ mass_w) * s_b
+                out += theta[..., None] * field_b
+                return out
+
+            # running values at the current step start, per level
+            J_start = np.zeros((self.levels, ns, len(c_b), n), dtype=complex)
+            J_start[0] = amp * self.seeds[:, None, :]
+            self._record(0.0, J_start, modes)
+            tables = {}
+            for t0, t1 in zip(edges[:-1], edges[1:]):
+                h = t1 - t0
+                if h not in tables:
+                    tables[h] = _step_table(c_b, h)
+                E, W = tables[h]
+                J = J_start[0] * E[:, None]
+                J_start[0] = J[-1]
+                for Jk in J_start[1:]:
+                    J = Jk * E[:, None] + np.einsum("dqkn,qskn->dskn", W,
+                                                    source(J[:-1]))
+                    Jk[...] = J[-1]
+                self._record(t1, J_start, modes)
+
+        blocks = [slice(a, a + WAVE_BLOCK_MODES)
+                  for a in range(0, grid.nh, WAVE_BLOCK_MODES)]
+        with ThreadPoolExecutor(min(eig_workers(), len(blocks))) as pool:
+            list(pool.map(march, blocks))
+
+    def _record(self, t, J_levels, modes):
         hits = np.abs(self.out_ts - t) < 1e-9
-        self.wave_sum[:, hits] = J_levels[:-1].sum(axis=0)[:, None]
-        self.top[:, hits] = J_levels[-1][:, None]
+        self.wave_sum[:, hits, modes] = J_levels[:-1].sum(axis=0)[:, None]
+        self.top[:, hits, modes] = J_levels[-1][:, None]
 
     # ------------------------------------------------------------------ #
 

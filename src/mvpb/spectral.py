@@ -211,8 +211,9 @@ def blas_threads():
 def eig_workers():
     """Threads for concurrent BLAS-bound work: usable CPUs // BLAS threads,
     >= 1.  It sizes the pool of the branch eigensolves here and those of the
-    Gamma build's node sweep and the Gamma apply's row chunks
-    (nonlinear.build_gamma, nonlinear.apply_gamma).
+    Gamma build's node sweep, the Gamma apply's row chunks and the kinetic
+    waves' mode blocks (nonlinear.build_gamma, nonlinear.apply_gamma,
+    green.KineticWaves).
 
     Without a BLAS thread count BLAS uses every CPU (the OpenBLAS default),
     so one worker: more would oversubscribe the CPUs.

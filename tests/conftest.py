@@ -15,6 +15,7 @@ import os
 import re
 import shutil
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -58,6 +59,18 @@ def session_cache(tmpdir):
 
 CACHE = session_cache(tempfile.gettempdir())
 os.makedirs(CACHE, exist_ok=True)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that ends with more Python threads alive than it started
+    with: every worker pool (branch eigensolves, Gamma build, Gamma apply,
+    kinetic-wave blocks) must be shut down before its call returns."""
+    before = threading.active_count()
+    yield
+    alive = threading.enumerate()
+    assert len(alive) <= before, (
+        "threads alive after the test: " + ", ".join(t.name for t in alive))
 
 
 @pytest.fixture(scope="session")

@@ -126,6 +126,24 @@ def test_unrunnable_config_exit_2(tmp_path, capsys, study, settings, key):
     assert not os.path.exists(out / "manifest.json")
 
 
+FLOAT_KEYS = [key for key, spec in SCHEMA.items() if spec[0] is float]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_exit_2(tmp_path, capsys, key, value):
+    # vmax=inf used to end in a LinAlgError, eta_max=inf in a ValueError and
+    # box_half_length=inf in a green run on NaN positions that exited 0
+    out = tmp_path / "run"
+    rc = main(["green", "--out", str(out), "--set", "n1=4", "--set", "nr=2",
+               "--set", f"{key}={value}"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out / "manifest.json")
+
+
 @pytest.mark.parametrize("times", ["1,a", "-1,2", "1,,2", "nan", "1,inf"])
 def test_bad_times_exit_2(tmp_path, capsys, times):
     out = tmp_path / "run"
@@ -190,6 +208,16 @@ def test_waves_single_time_exit_3(tmp_path, times):
     assert doc["partial"]
     assert "IllConditioned" in doc["error"]
     assert "wave_sum_log_slope" not in doc["constants"]
+
+
+def test_waves_manifest_records_workers(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = tmp_path / "run"
+    assert main(["waves", "--out", str(out), "--set", "times=1,2",
+                 "--set", "n1=8", "--set", "nr=4", "--set", "nx=64"]) == 0
+    timings = _load_manifest(out)["timings"]
+    assert timings["eig_workers"] >= 1
+    assert timings["blas_threads"] == 1
 
 
 def test_nonlinear_empty_fit_window_exit_3(tmp_path):

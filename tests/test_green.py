@@ -1,6 +1,7 @@
 """Green's-function synthesis contracts: grid transforms, Poisson kernel,
 delta reproduction, frequency split, wave recursion, and fit utilities."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -350,6 +351,59 @@ def test_wave_sum_excludes_top(ops16, grid):
     kw4 = KineticWaves(op0, grid, b.invariants[0], [2.0], levels=4)
     # adding a level appends the previous top front to the truncated sum
     assert np.max(np.abs(kw4.wave_sum - kw3.wave_sum - kw3.top)) <= 1e-10
+
+
+def _block_grid():
+    # nh = 41 modes: two full blocks and a partial tail
+    grid = SpaceGrid(box_half_length=20.0, nx=80)
+    assert grid.nh % green.WAVE_BLOCK_MODES != 0
+    assert grid.nh > 2 * green.WAVE_BLOCK_MODES
+    return grid
+
+
+def test_wave_blocks_same_bits_on_any_worker_count(ops16, monkeypatch):
+    op0, _ = ops16
+    b = op0.basis
+    grid = _block_grid()
+    out = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(green, "eig_workers", lambda w=workers: w)
+        out[workers] = KineticWaves(op0, grid, b.invariants[0], [1.0, 1.3],
+                                    levels=3)
+    assert np.array_equal(out[1].wave_sum, out[2].wave_sum)
+    assert np.array_equal(out[1].top, out[2].top)
+    assert np.all(out[1].top[0, :, -1] != 0)          # the tail block ran
+
+
+def _wave_threads():
+    return [t for t in threading.enumerate() if t is not threading.main_thread()]
+
+
+def test_wave_blocks_leave_no_thread(ops16, monkeypatch):
+    op0, _ = ops16
+    monkeypatch.setattr(green, "eig_workers", lambda: 2)
+    before = _wave_threads()
+    KineticWaves(op0, _block_grid(), op0.basis.invariants[0], [1.0],
+                 levels=2)
+    assert _wave_threads() == before
+
+
+def test_wave_block_error_propagates_and_leaves_no_thread(ops16, monkeypatch):
+    op0, _ = ops16
+    monkeypatch.setattr(green, "eig_workers", lambda: 2)
+    step_table = green._step_table
+
+    def failing(c, h):
+        if len(c) < green.WAVE_BLOCK_MODES:           # the tail block only
+            raise FloatingPointError("tail block")
+        return step_table(c, h)
+
+    monkeypatch.setattr(green, "_step_table", failing)
+    before = _wave_threads()
+    with pytest.raises(FloatingPointError, match="tail block"):
+        KineticWaves(op0, _block_grid(), op0.basis.invariants[0], [1.0],
+                     levels=2)
+    assert _wave_threads() == before
 
 
 def test_fluid_part_humps(ops16):
