@@ -375,17 +375,13 @@ def test_wave_blocks_same_bits_on_any_worker_count(ops16, monkeypatch):
     assert np.all(out[1].top[0, :, -1] != 0)          # the tail block ran
 
 
-def _wave_threads():
-    return [t for t in threading.enumerate() if t is not threading.main_thread()]
-
-
 def test_wave_blocks_leave_no_thread(ops16, monkeypatch):
     op0, _ = ops16
     monkeypatch.setattr(green, "eig_workers", lambda: 2)
-    before = _wave_threads()
+    before = threading.enumerate()
     KineticWaves(op0, _block_grid(), op0.basis.invariants[0], [1.0],
                  levels=2)
-    assert _wave_threads() == before
+    assert threading.enumerate() == before
 
 
 def test_wave_block_error_propagates_and_leaves_no_thread(ops16, monkeypatch):
@@ -399,11 +395,11 @@ def test_wave_block_error_propagates_and_leaves_no_thread(ops16, monkeypatch):
         return step_table(c, h)
 
     monkeypatch.setattr(green, "_step_table", failing)
-    before = _wave_threads()
+    before = threading.enumerate()
     with pytest.raises(FloatingPointError, match="tail block"):
         KineticWaves(op0, _block_grid(), op0.basis.invariants[0], [1.0],
                      levels=2)
-    assert _wave_threads() == before
+    assert threading.enumerate() == before
 
 
 def test_fluid_part_humps(ops16):
