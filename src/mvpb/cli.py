@@ -2,11 +2,11 @@
 
 Each subcommand runs one study in one process (only the branch eigensolves,
 the node sweep of the Gamma build, at large n the Gamma apply, and the
-mode blocks of the kinetic waves use more than one thread, see
-spectral.eig_workers) and writes its outputs plus a
-manifest into the output directory.  Exit codes: 0 success, 2 invalid
-configuration, 3 numerical failure (a manifest is still written in that
-case, flagged as partial).  The cache directory for expensive kernels and
+mode blocks of the kinetic waves, of green_action and of the nonlinear
+stepper's propagators use more than one thread, see spectral.eig_workers)
+and writes its outputs plus a manifest into the output directory.  Exit
+codes: 0 success, 2 invalid configuration, 3 numerical failure (a
+manifest is still written in that case, flagged as partial).  The cache directory for expensive kernels and
 tensors is taken from the MVPB_CACHE environment variable.
 """
 
@@ -50,6 +50,12 @@ def _operator(cfg: RunConfig, sector):
     return CollisionOperator(basis, nphi=cfg.nphi, cache_dir=cache_dir())
 
 
+def _record_workers(man):
+    """Pool size and BLAS thread count of a study that runs on the pool."""
+    man.timings["eig_workers"] = eig_workers()
+    man.timings["blas_threads"] = blas_threads()
+
+
 # ---------------------------------------------------------------------- #
 # studies
 # ---------------------------------------------------------------------- #
@@ -69,8 +75,7 @@ def study_coeffs(cfg, man):
 
 def study_dispersion(cfg, man):
     op0, op1 = _operator(cfg, 0), _operator(cfg, 1)
-    man.timings["eig_workers"] = eig_workers()
-    man.timings["blas_threads"] = blas_threads()
+    _record_workers(man)
     rows = []
     for op in (op0, op1):
         bs = eigen_branches(op, eta_max=cfg.eta_max, steps=cfg.steps)
@@ -91,6 +96,7 @@ def study_green(cfg, man):
     ts = cfg.sample_times()
     b = op0.basis
     seeds = [b.invariants[0]]
+    _record_workers(man)
     syn = synthesize_green(op0, grid, seeds, ts, cfg.r0_hat)
     rows = []
     for part, field in (("full", syn["coef"]), ("low", syn["low"]),
@@ -115,8 +121,7 @@ def study_waves(cfg, man):
     grid = SpaceGrid(cfg.box_half_length, cfg.nx)
     ts = [t for t in cfg.sample_times() if t > 0]
     b = op0.basis
-    man.timings["eig_workers"] = eig_workers()
-    man.timings["blas_threads"] = blas_threads()
+    _record_workers(man)
     kw = KineticWaves(op0, grid, [b.invariants[0]], ts, levels=cfg.levels)
     rows = []
     amps = []
@@ -146,6 +151,7 @@ def study_nsp_compare(cfg, man):
     ts = [t for t in cfg.sample_times() if t > 0]
     # low-frequency data: the fluid closure is only valid for eta << r0
     profile = np.exp(-grid.x ** 2 / 200.0)
+    _record_workers(man)
     kin = kinetic_moment_trajectory(op0, grid, profile, [0.0] + ts)
     # linear-to-linear comparison: the kinetic reference is the linearized
     # propagator, and the closure is linear too
@@ -177,6 +183,7 @@ def study_nonlinear(cfg, man):
             # threads of the node sweep; a cache hit sweeps nothing
             man.timings["gamma_cache"] = "miss"
             man.timings["gamma_workers"] = eig_workers()
+    _record_workers(man)          # the stepper's propagator blocks
     rep = decay_study(op0, grid, gamma, t_end=cfg.t_end, dt=cfg.dt,
                       delta0=cfg.delta0, gamma0=cfg.gamma0)
     if gamma is not None:

@@ -218,6 +218,8 @@ class CollisionOperator:
         spectral, Green's-function and time-stepping code uses this matrix,
         which annihilates the invariants to round-off and keeps the discrete
         moment balance exact.
+    Lmat_even : (n, n) array
+        (Lmat + P Lmat P)/2 for the reflection P: v1 -> -v1.
     """
 
     def __init__(self, basis: VelocityBasis, nphi=128, cache_dir=None):
@@ -253,6 +255,10 @@ class CollisionOperator:
         WL = w[:, None] * Lc
         WL = 0.5 * (WL + WL.T)
         self.Lmat = WL / w[:, None]
+        perm = basis.reflection
+        #: (L + P L P)/2, P the reflection: the part of every real form
+        #: B_r(eta) that does not depend on eta (spectral.real_mode_matrices)
+        self.Lmat_even = 0.5 * (self.Lmat + self.Lmat[perm][:, perm])
         self._micro = None
 
     # ------------------------------------------------------------------ #

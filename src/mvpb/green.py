@@ -15,15 +15,17 @@ the application of the operator to a fixed family of velocity profiles.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .collision import CollisionOperator
 from .errors import AliasingWarning, IllConditioned
-from .spectral import (eig_workers, eigen_branches_at, from_real_form,
-                       mode_matrix, propagate, real_form, to_real_form)
+from .spectral import (eigen_branches_at, from_real_form, mode_blocks,
+                       on_workers, propagate, real_mode_matrices,
+                       to_real_form)
+# not called here: perfbench/tracer.py wraps mvpb.green.mode_matrix
+from .spectral import mode_matrix  # noqa: F401
 
 
 class SpaceGrid:
@@ -99,9 +101,12 @@ def green_action(op: CollisionOperator, grid: SpaceGrid, seeds, ts,
     """Frequency coefficients of G(t) applied to datum(x) * seed(v).
 
     datum: (nh,) coefficients of the profile, by default the point source.
-    Returns complex array (n_seeds, n_times, grid.nh, n).  Each mode with
-    |datum| > 1e-14 max is one call of propagate on the real form B_r(eta)
-    (seeds mapped by U* and back by U); the other modes stay zero.
+    Returns complex array (n_seeds, n_times, grid.nh, n).  The modes with
+    |datum| > 1e-14 max split into blocks (spectral.mode_blocks); each
+    block builds its real forms B_r(eta), propagates the seeds through
+    them in one call of propagate (seeds mapped by U* and back by U) and
+    writes its own modes, on eig_workers() threads (spectral.on_workers).
+    The other modes stay zero.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=complex))
     ts = np.asarray(ts, dtype=float)
@@ -111,10 +116,14 @@ def green_action(op: CollisionOperator, grid: SpaceGrid, seeds, ts,
     active = np.abs(datum) > 1e-14 * np.abs(datum).max()
     Z = to_real_form(seeds.T, perm)
     out = np.zeros((ns, len(ts), grid.nh, n), dtype=complex)
-    for k in np.flatnonzero(active):
-        Y = propagate(real_form(mode_matrix(op, grid.eta[k]), perm), Z, ts)
-        Y = from_real_form(Y, perm, axis=1)                 # (nt, n, ns)
-        out[:, :, k, :] = Y.transpose(2, 0, 1) * datum[k]
+
+    def block(modes):
+        Br = real_mode_matrices(op, grid.eta[modes])
+        Y = propagate(Br, np.broadcast_to(Z, (len(modes),) + Z.shape), ts)
+        Y = from_real_form(Y, perm, axis=2)              # (nt, k, n, ns)
+        out[:, :, modes, :] = Y.transpose(3, 0, 1, 2) * datum[modes, None]
+
+    on_workers(block, mode_blocks(np.flatnonzero(active), n))
     return out
 
 
@@ -325,10 +334,8 @@ class KineticWaves:
                     Jk[...] = J[-1]
                 self._record(t1, J_start, modes)
 
-        blocks = [slice(a, a + WAVE_BLOCK_MODES)
-                  for a in range(0, grid.nh, WAVE_BLOCK_MODES)]
-        with ThreadPoolExecutor(min(eig_workers(), len(blocks))) as pool:
-            list(pool.map(march, blocks))
+        on_workers(march, [slice(a, a + WAVE_BLOCK_MODES)
+                           for a in range(0, grid.nh, WAVE_BLOCK_MODES)])
 
     def _record(self, t, J_levels, modes):
         hits = np.abs(self.out_ts - t) < 1e-9

@@ -17,15 +17,16 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
 from .collision import CollisionOperator, cache_path, load_array, store_array
 from .errors import CFLViolation, Instability, MemoryBudget, NoConvergence
 from .green import SpaceGrid, linear_log_fit
 from .moments import CFL, apply_v1_derivative, solve_field
-from .spectral import (SQRT2, eig_workers, from_real_form, mode_matrix,
-                       real_form, to_real_form)
+from .spectral import (SQRT2, eig_workers, expm, from_real_form, mode_blocks,
+                       on_workers, real_mode_matrices, to_real_form)
+# not called here: perfbench/tracer.py wraps mvpb.nonlinear.mode_matrix
+from .spectral import mode_matrix  # noqa: F401
 from .velocity import VelocityBasis, macro_speeds, maxwellian
 
 
@@ -662,11 +663,15 @@ class NonlinearStepper:
     only where it is read: in the quadratic step when field_terms is on.
 
     The half-step is one batched real GEMM of props, exp(B_r dt/2) per
-    mode, on a float view of the complex coefficients.  A quadratic stage
-    makes one field solve (poisson_newton), reads d_x phi and the
-    beyond-linear gradient from one stacked rfft/irfft pair, applies the
-    field advection 1/2 v1 f d_x phi - d_x phi d_v1 f as one GEMM with the
-    matrix advect, formed here, and Gamma through apply_gamma.
+    mode, on a float view of the complex coefficients.  props is formed
+    by blocks of modes (spectral.mode_blocks), each block assembling its
+    B_r, exponentiating them (spectral.expm) and writing its slice on
+    eig_workers() threads, so it is the same bits on any worker count.  A
+    quadratic stage makes one field solve (poisson_newton), reads d_x phi
+    and the beyond-linear gradient from one stacked rfft/irfft pair,
+    applies the field advection 1/2 v1 f d_x phi - d_x phi d_v1 f as one
+    GEMM with the matrix advect, formed here, and Gamma through
+    apply_gamma.
     """
 
     def __init__(self, op: CollisionOperator, grid: SpaceGrid, dt,
@@ -688,11 +693,15 @@ class NonlinearStepper:
         # symbols of d_x and of d_x (I - d_xx)^{-1}
         self._ddx = 1j * grid.eta
         self._ddx_lin = self._ddx / (1.0 + grid.eta ** 2)
-        # exp(B dt/2) = U exp(B_r dt/2) U*: real half-step propagators
+        # exp(B dt/2) = U exp(B_r dt/2) U*: real half-step propagators,
+        # built and exponentiated by blocks of modes on the worker pool
         self.props = np.empty((grid.nh, b.n, b.n))
-        for k, eta in enumerate(grid.eta):
-            self.props[k] = scipy.linalg.expm(
-                real_form(mode_matrix(op, eta), b.reflection) * (self.dt / 2.0))
+
+        def block(modes):
+            self.props[modes] = expm(
+                real_mode_matrices(op, grid.eta[modes]) * (self.dt / 2.0))
+
+        on_workers(block, mode_blocks(np.arange(grid.nh), b.n))
 
     # -------------------------------------------------------------- #
 

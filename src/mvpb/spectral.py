@@ -10,17 +10,20 @@ sector 0).
 
 B(eta) has a reflection symmetry.  The reflection P: v1 -> -v1 maps the
 velocity nodes and weights onto themselves exactly; it commutes with L (to
-round-off, see real_form), anticommutes with v1, and leaves chi0 even.
-Hence conj(B) = P B P, and with the unitary U = (I - iP)/sqrt(2) the
-matrix B_r = U* B U is real.  Every dense per-eta kernel here (the branch
-eigensolves, the spectral-gap and zero-mode scans, the semigroup split),
-green.green_action and the half steps of the nonlinear stepper run on B_r
-in real arithmetic; eigenvectors and propagated vectors map back through
-U at O(n) cost per vector.  This module provides
+round-off, see real_mode_matrices), anticommutes with v1, and leaves chi0
+even.  Hence conj(B) = P B P, and with the unitary U = (I - iP)/sqrt(2)
+the matrix B_r = U* B U is real.  Every dense per-eta kernel here (the
+branch eigensolves, the spectral-gap and zero-mode scans, the semigroup
+split), green.green_action and the half steps of the nonlinear stepper run
+on B_r in real arithmetic; eigenvectors and propagated vectors map back
+through U at O(n) cost per vector.  This module provides
 
-* dense assembly of B(eta) and its real form B_r;
-* the propagator exp(t B(eta)) X at a set of sample times, from one
-  matrix exponential on the lattice of those times;
+* dense assembly of B(eta), and of B_r for a block of frequencies at once;
+* the matrix exponential (numpy Pade-13, one matrix or a stack) and the
+  propagator exp(t B(eta)) X at a set of sample times, from one matrix
+  exponential on the lattice of those times, with the blocks of modes
+  that green.green_action and the nonlinear stepper propagate on
+  eig_workers() threads;
 * continuation of the low-frequency eigenvalue branches (two acoustic,
   one thermal in sector 0; one doubly-degenerate shear in sector 1) with
   bilinear eta-pairing normalization, its eigensolves run eig_workers()
@@ -74,12 +77,48 @@ def mode_matrix(op: CollisionOperator, eta):
 def real_form(B, perm):
     """Real matrix B_r = U* B U, U = (I - iP)/sqrt(2), P the reflection perm.
 
-    Exact for conj(B) = P B P: B_r = Re(((B + PBP) + i(PB - BP))/2).  The
-    dropped imaginary part is round-off: L commutes with P only to ~2e-15
-    of max |L|, as its row sums and invariants are formed in node order.
+    Exact for conj(B) = P B P: B_r = Re(((B + PBP) + i(PB - BP))/2).  Only
+    the branch continuation (eigen_branches_at) forms B_r this way, from
+    mode_matrix on the calling thread, as perfbench/tracer.py counts its
+    per-eta assemblies through mode_matrix; real_mode_matrices gives the
+    same bits.
     """
     R, I = B.real, B.imag
     return 0.5 * (R + R[perm][:, perm] + I[:, perm] - I[perm])
+
+
+def real_mode_matrices(op: CollisionOperator, etas):
+    """Real forms B_r(eta) = U* B(eta) U for a block of frequencies,
+    shape (len(etas), n, n).
+
+    For conj(B) = P B P, B_r = Re(((B + PBP) + i(PB - BP))/2).  The real
+    part of B is L and its imaginary part I is -eta diag(v1), less
+    (eta/(1 + eta^2)) v1 chi0 (x) chi0 w in sector 0, so
+    B_r = (L + PLP)/2 + (I P - P I)/2 with the first term
+    op.Lmat_even.  Each entry takes the same floating-point operations as
+    forming B(eta) (mode_matrix) and taking that formula, so the result is
+    the same bits.  The dropped imaginary part (PLP - L)/2 is round-off: L
+    commutes with P only to ~2e-15 of max |L|, as its row sums and
+    invariants are formed in node order.
+    """
+    b = op.basis
+    etas = np.asarray(etas, dtype=float)
+    n, perm = b.n, b.reflection
+    half_im = np.zeros((len(etas), n, n))
+    if b.sector == 0:
+        chi0 = b.invariants[0]
+        # Im of mode_matrix's scalar 1j eta / (1 + eta^2), the same bits
+        coupling = etas / (1.0 + etas ** 2)
+        np.multiply(coupling[:, None, None],
+                    np.outer(b.v1 * chi0, chi0 * b.w), out=half_im)
+        np.negative(half_im, out=half_im)
+    diag = np.arange(n)
+    half_im[:, diag, diag] -= etas[:, None] * b.v1
+    half_im *= 0.5
+    out = half_im[:, :, perm]
+    out += op.Lmat_even
+    out -= half_im[:, perm]
+    return out
 
 
 def to_real_form(X, perm, axis=0):
@@ -95,6 +134,69 @@ def from_real_form(Y, perm, axis=0):
 # ---------------------------------------------------------------------- #
 # per-frequency propagator
 # ---------------------------------------------------------------------- #
+
+#: numerator coefficients b_0..b_13 of the [13/13] Pade approximant of exp,
+#: and the 1-norm up to which it needs no scaling (scipy.linalg's
+#: _expm_frechet: the coefficients and ell_table_61[13])
+PADE13 = (64764752532480000., 32382376266240000., 7771770303897600.,
+          1187353796428800., 129060195264000., 10559470521600.,
+          670442572800., 33522128640., 1323241920., 40840800., 960960.,
+          16380., 182., 1.)
+THETA13 = 4.74
+
+
+def expm(A):
+    """exp(A) for one (n, n) matrix or a stack (..., n, n), real or complex.
+
+    Scaling and squaring with the [13/13] Pade approximant (Higham, SIAM
+    J. Matrix Anal. Appl. 26 (2005) 1179-1193): each matrix is scaled by
+    its own 2^-s, s = max(0, ceil(log2(||A||_1 / THETA13))), and its
+    approximant is squared s times; a zero matrix gives exactly I.  Only
+    numpy matmul and linalg.solve, which release the GIL, so calls on
+    several threads run at once.  Both call BLAS/LAPACK once per matrix of
+    a stack, so a matrix gives the same bits alone or in any stack.
+    """
+    A = np.asarray(A)
+    shape = A.shape
+    n = shape[-1]
+    A = A.reshape(-1, n, n)
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm / THETA13, 1.0))).astype(int)
+    A = A * np.exp2(-s)[:, None, None]
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    eye = np.eye(n)
+
+    def pade_part(k):
+        # A^6 (b12 A^6 + b10 A^4 + b8 A^2) + b6 A^6 + b4 A^4 + b2 A^2 + b0 I
+        # with each b_j read as b_(j+k): k = 0 gives V, k = 1 U / A.  The
+        # sums run left to right in place, so few (n, n) temporaries live.
+        b = PADE13[k:]
+        X = b[12] * A6
+        X += b[10] * A4
+        X += b[8] * A2
+        X = A6 @ X
+        X += b[6] * A6
+        X += b[4] * A4
+        X += b[2] * A2
+        X += b[0] * eye
+        return X
+
+    U = A @ pade_part(1)
+    del A
+    V = pade_part(0)
+    del A2, A4, A6
+    Q = V - U
+    V += U
+    del U
+    R = np.linalg.solve(Q, V)
+    R[norm == 0.0] = eye          # LAPACK divides by the pivot b_0 inexactly
+    for j in range(int(s.max(initial=0))):
+        sq = s > j
+        R[sq] = R[sq] @ R[sq]
+    return R.reshape(shape)
+
 
 LATTICE_RTOL = 1e-9
 
@@ -121,20 +223,22 @@ def lattice_step(ts):
 def propagate(B, X, ts):
     """exp(t B) X for every t in ts, shape (len(ts),) + X.shape.
 
-    The sample times are placed on the lattice t = k h of the largest base
-    step h that divides all of them (lattice_step); exp(h B) is formed once
-    by scaling and squaring and X is marched through the lattice with
-    mat-vecs.  When that lattice needs more than n = len(B) steps, which
-    cost about one expm, the march instead takes one expm per distinct gap
-    between the sorted times.  A real B with complex X marches the real and
-    imaginary parts of X as real columns.
+    B is one (n, n) matrix with X of shape (n,) or (n, m), or a stack
+    (..., n, n) with X of shape (..., n, m).  The sample times are placed
+    on the lattice t = k h of the largest base step h that divides all of
+    them (lattice_step); exp(h B) is formed once (expm) and X is marched
+    through the lattice with mat-vecs.  When that lattice needs more than
+    n steps, which cost about one expm, the march instead takes one expm
+    per distinct gap between the sorted times.  A real B with complex X
+    marches the real and imaginary parts of X as real columns.
     """
     ts = np.asarray(ts, dtype=float)
     X = np.asarray(X)
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise ValueError("sample times must be finite and non-negative")
     if np.isrealobj(B) and np.iscomplexobj(X):
-        parts = np.stack([X.real, X.imag], axis=-1).reshape(len(X), -1)
+        parts = np.stack([X.real, X.imag], axis=-1)
+        parts = parts.reshape(X.shape[:B.ndim - 1] + (-1,))
         Y = propagate(B, parts, ts).reshape((len(ts),) + X.shape + (2,))
         return Y[..., 0] + 1j * Y[..., 1]
     out = np.empty((len(ts),) + X.shape, dtype=np.result_type(B, X))
@@ -145,8 +249,8 @@ def propagate(B, X, ts):
     h = lattice_step(ts)
     steps = np.rint(ts / h)
     on_lattice = np.abs(ts - steps * h).max() <= LATTICE_RTOL * t_max
-    if on_lattice and steps.max() <= len(B):
-        E = scipy.linalg.expm(B * (t_max / steps.max()))
+    if on_lattice and steps.max() <= B.shape[-1]:
+        E = expm(B * (t_max / steps.max()))
         done, Y = 0, X
         for k in np.unique(steps[steps > 0]):
             for _ in range(int(k) - done):
@@ -159,11 +263,53 @@ def propagate(B, X, ts):
     for t in np.unique(ts[ts > 0]):
         gap = t - t_prev
         if gap not in gaps:
-            gaps[gap] = scipy.linalg.expm(B * gap)
+            gaps[gap] = expm(B * gap)
         Y = gaps[gap] @ Y
         t_prev = t
         out[ts == t] = Y
     return out
+
+
+#: matrix entries per block of modes that green.green_action and the
+#: nonlinear stepper assemble and exponentiate at once: max(1, this // n^2)
+#: modes (mode_blocks)
+PROPAGATOR_BLOCK_ENTRIES = 2 ** 15
+
+
+def mode_blocks(modes, n):
+    """modes (an index array) in consecutive blocks of
+    max(1, PROPAGATOR_BLOCK_ENTRIES // n^2): 32 modes at n = 32, 2 at
+    n = 128 and 1 at n = 288.
+
+    Stacking amortises the per-task and per-call overhead at small n; a
+    larger block buys little more time and costs memory, as each worker
+    holds about six arrays of the block's size inside expm.  Measured
+    on 2 CPUs, 1 BLAS thread, 2 workers, best of 2 in each of 3 rounds,
+    in ms for this constant at 2^15, at 1 (one mode per task) and at
+    2^16:
+
+        green_action, n = 128, nx = 256, 4 times:  179-183, 214-221, 166-178
+        stepper props, n = 32, nx = 1024:          21-26, 96-181, 22-23
+        stepper props, n = 128, nx = 256:          123-128, 136-145, 121-123
+
+    SciPy's expm on the calling thread took 297-309, 46-49 and 205-211 ms
+    for the same three.  The peak RSS of one pass of the green, waves and
+    nsp-compare studies at n = 128 (nx = 256) was 73.6-73.7 MB at 2^15
+    and 77.1-77.3 MB at 2^16, against 74.3-74.4 MB with SciPy's expm.
+    """
+    size = max(1, PROPAGATOR_BLOCK_ENTRIES // n ** 2)
+    return [modes[a:a + size] for a in range(0, len(modes), size)]
+
+
+def on_workers(task, blocks):
+    """task(block) for every block, on eig_workers() threads.
+
+    The tasks write their own slices of shared arrays, so the result does
+    not depend on the thread count.  The first error a task raises is
+    raised here, and the pool is shut down before returning.
+    """
+    with ThreadPoolExecutor(max(1, min(eig_workers(), len(blocks)))) as pool:
+        list(pool.map(task, blocks))
 
 
 # ---------------------------------------------------------------------- #
@@ -210,10 +356,11 @@ def blas_threads():
 
 def eig_workers():
     """Threads for concurrent BLAS-bound work: usable CPUs // BLAS threads,
-    >= 1.  It sizes the pool of the branch eigensolves here and those of the
-    Gamma build's node sweep, the Gamma apply's row chunks and the kinetic
-    waves' mode blocks (nonlinear.build_gamma, nonlinear.apply_gamma,
-    green.KineticWaves).
+    >= 1.  It sizes the pool of the branch eigensolves here, that of
+    on_workers (the propagator blocks of green.green_action and of the
+    nonlinear stepper's props, and the kinetic waves' mode blocks) and
+    those of the Gamma build's node sweep and the Gamma apply's row chunks
+    (nonlinear.build_gamma, nonlinear.apply_gamma).
 
     Without a BLAS thread count BLAS uses every CPU (the OpenBLAS default),
     so one worker: more would oversubscribe the CPUs.
@@ -401,8 +548,7 @@ def spectral_gap_scan(ops, etas=None):
     out = np.full(etas.shape, -np.inf)
     for op in ops:
         for i, eta in enumerate(etas):
-            w = scipy.linalg.eigvals(
-                real_form(mode_matrix(op, eta), op.basis.reflection))
+            w = scipy.linalg.eigvals(real_mode_matrices(op, [eta])[0])
             out[i] = max(out[i], float(w.real.max()))
     return etas, out
 
@@ -411,8 +557,7 @@ def zero_mode_count(ops, tol=1e-6):
     """Eigenvalues of B(0) within tol of zero, counted with shear multiplicity 2."""
     count = 0
     for op in ops:
-        w = scipy.linalg.eigvals(
-            real_form(mode_matrix(op, 0.0), op.basis.reflection))
+        w = scipy.linalg.eigvals(real_mode_matrices(op, [0.0])[0])
         c = int(np.sum(np.abs(w) < tol))
         count += 2 * c if op.basis.sector == 1 else c
     return count
@@ -607,7 +752,7 @@ def semigroup_split(op: CollisionOperator, eta, ts, r0_hat):
     b = op.basis
     mu_hat = op.micro_gap()
     perm = b.reflection
-    Br = real_form(mode_matrix(op, eta), perm)
+    Br = real_mode_matrices(op, [eta])[0]
     ts = np.asarray(ts, dtype=float)
     # exp(t B) = U exp(t B_r) U*, applied to the identity
     S = from_real_form(

@@ -65,7 +65,8 @@ os.makedirs(CACHE, exist_ok=True)
 def no_leaked_threads():
     """Fail a test that ends with more Python threads alive than it started
     with: every worker pool (branch eigensolves, Gamma build, Gamma apply,
-    kinetic-wave blocks) must be shut down before its call returns."""
+    kinetic-wave blocks, the propagator blocks of green_action and of the
+    stepper's props) must be shut down before its call returns."""
     before = threading.active_count()
     yield
     alive = threading.enumerate()

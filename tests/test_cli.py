@@ -220,6 +220,23 @@ def test_waves_manifest_records_workers(tmp_path, monkeypatch):
     assert timings["blas_threads"] == 1
 
 
+@pytest.mark.parametrize("study, extra", [
+    ("green", ["--set", "times=1,2"]),
+    ("nsp-compare", ["--set", "times=1,2", "--set", "dt=0.5"]),
+    ("nonlinear", ["--set", "t_end=15", "--set", "collisions=0"]),
+])
+def test_propagator_manifests_record_workers(tmp_path, monkeypatch, study,
+                                             extra):
+    # the studies that propagate by mode blocks on eig_workers() threads
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = tmp_path / "run"
+    assert main([study, "--out", str(out), "--set", "n1=8", "--set", "nr=4",
+                 "--set", "nx=64"] + extra) == 0
+    timings = _load_manifest(out)["timings"]
+    assert timings["eig_workers"] >= 1
+    assert timings["blas_threads"] == 1
+
+
 def test_nonlinear_empty_fit_window_exit_3(tmp_path):
     # the decay fit uses t >= 10; at t_end = 10 the last sample sits at
     # t = 9.99999999999998, so the window is empty
@@ -252,7 +269,8 @@ def test_nonlinear_manifest_gamma_cache_miss_then_hit(tmp_path, monkeypatch):
     assert seen[0]["gamma_workers"] >= 1
     assert seen[0]["gamma_apply_workers"] == 1
     assert set(seen[1]) == {"gamma_build_s", "gamma_cache",
-                            "gamma_apply_workers", "peak_rss_mb"}
+                            "gamma_apply_workers", "eig_workers",
+                            "blas_threads", "peak_rss_mb"}
     assert seen[1]["gamma_build_s"] == 0.0
     assert seen[1]["gamma_cache"] == "hit"
     assert seen[1]["gamma_apply_workers"] == 1

@@ -367,7 +367,7 @@ def test_wave_blocks_same_bits_on_any_worker_count(ops16, monkeypatch):
     grid = _block_grid()
     out = {}
     for workers in (1, 2):
-        monkeypatch.setattr(green, "eig_workers", lambda w=workers: w)
+        monkeypatch.setattr(spectral, "eig_workers", lambda w=workers: w)
         out[workers] = KineticWaves(op0, grid, b.invariants[0], [1.0, 1.3],
                                     levels=3)
     assert np.array_equal(out[1].wave_sum, out[2].wave_sum)
@@ -377,7 +377,7 @@ def test_wave_blocks_same_bits_on_any_worker_count(ops16, monkeypatch):
 
 def test_wave_blocks_leave_no_thread(ops16, monkeypatch):
     op0, _ = ops16
-    monkeypatch.setattr(green, "eig_workers", lambda: 2)
+    monkeypatch.setattr(spectral, "eig_workers", lambda: 2)
     before = threading.enumerate()
     KineticWaves(op0, _block_grid(), op0.basis.invariants[0], [1.0],
                  levels=2)
@@ -386,7 +386,7 @@ def test_wave_blocks_leave_no_thread(ops16, monkeypatch):
 
 def test_wave_block_error_propagates_and_leaves_no_thread(ops16, monkeypatch):
     op0, _ = ops16
-    monkeypatch.setattr(green, "eig_workers", lambda: 2)
+    monkeypatch.setattr(spectral, "eig_workers", lambda: 2)
     step_table = green._step_table
 
     def failing(c, h):
@@ -399,6 +399,48 @@ def test_wave_block_error_propagates_and_leaves_no_thread(ops16, monkeypatch):
     with pytest.raises(FloatingPointError, match="tail block"):
         KineticWaves(op0, _block_grid(), op0.basis.invariants[0], [1.0],
                      levels=2)
+    assert threading.enumerate() == before
+
+
+def _propagator_block(n):
+    return max(1, spectral.PROPAGATOR_BLOCK_ENTRIES // n ** 2)
+
+
+@pytest.mark.parametrize("entries", [spectral.PROPAGATOR_BLOCK_ENTRIES,
+                                     3 * 128 ** 2])
+def test_green_action_same_bits_on_any_workers_and_blocks(ops16, monkeypatch,
+                                                          entries):
+    op0, _ = ops16
+    b = op0.basis
+    grid = _block_grid()
+    seeds = [b.invariants[0], b.invariants[2]]
+    ts = [0.0, 0.5, 1.5]
+    monkeypatch.setattr(spectral, "PROPAGATOR_BLOCK_ENTRIES", 1)
+    ref = green_action(op0, grid, seeds, ts)             # one mode per task
+    assert np.all(ref[:, 1:, -1] != 0)
+    monkeypatch.setattr(spectral, "PROPAGATOR_BLOCK_ENTRIES", entries)
+    assert grid.nh % _propagator_block(b.n) != 0          # a partial tail
+    for workers in (1, 2):
+        monkeypatch.setattr(spectral, "eig_workers", lambda w=workers: w)
+        assert np.array_equal(green_action(op0, grid, seeds, ts), ref)
+
+
+def test_green_action_block_error_propagates_and_leaves_no_thread(
+        ops16, monkeypatch):
+    op0, _ = ops16
+    grid = _block_grid()
+    monkeypatch.setattr(spectral, "eig_workers", lambda: 2)
+    build = green.real_mode_matrices
+
+    def failing(op, etas):
+        if len(etas) < _propagator_block(op.basis.n):   # the tail block only
+            raise FloatingPointError("tail block")
+        return build(op, etas)
+
+    monkeypatch.setattr(green, "real_mode_matrices", failing)
+    before = threading.enumerate()
+    with pytest.raises(FloatingPointError, match="tail block"):
+        green_action(op0, grid, op0.basis.invariants[0], [1.0])
     assert threading.enumerate() == before
 
 

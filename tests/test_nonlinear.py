@@ -162,6 +162,40 @@ def test_half_step_real_form_matches_expm(ops16, grid):
         assert np.max(np.abs(out[k] - exact)) <= 1e-12 * np.abs(exact).max()
 
 
+@pytest.mark.parametrize("entries", [spectral.PROPAGATOR_BLOCK_ENTRIES,
+                                     5 * 128 ** 2])
+def test_props_same_bits_on_any_workers_and_blocks(ops16, grid, monkeypatch,
+                                                   entries):
+    op0, _ = ops16
+    monkeypatch.setattr(spectral, "PROPAGATOR_BLOCK_ENTRIES", 1)
+    ref = NonlinearStepper(op0, grid, 0.1, field_terms=False).props
+    monkeypatch.setattr(spectral, "PROPAGATOR_BLOCK_ENTRIES", entries)
+    assert grid.nh % (entries // op0.basis.n ** 2) != 0   # a partial tail
+    for workers in (1, 2):
+        monkeypatch.setattr(spectral, "eig_workers", lambda w=workers: w)
+        props = NonlinearStepper(op0, grid, 0.1, field_terms=False).props
+        assert np.array_equal(props, ref)
+
+
+def test_props_block_error_propagates_and_leaves_no_thread(ops16, grid,
+                                                          monkeypatch):
+    op0, _ = ops16
+    monkeypatch.setattr(spectral, "eig_workers", lambda: 2)
+    expm = nonlinear.expm
+    full = spectral.PROPAGATOR_BLOCK_ENTRIES // op0.basis.n ** 2
+
+    def failing(A):
+        if len(A) < full:                                # the tail block only
+            raise FloatingPointError("tail block")
+        return expm(A)
+
+    monkeypatch.setattr(nonlinear, "expm", failing)
+    before = threading.enumerate()
+    with pytest.raises(FloatingPointError, match="tail block"):
+        NonlinearStepper(op0, grid, 0.1, field_terms=False)
+    assert threading.enumerate() == before
+
+
 def test_step_mass_conservation(ops16, grid, gamma16):
     op0, _ = ops16
     b = op0.basis

@@ -1,8 +1,10 @@
 """Frequency-domain contracts: mode operator, eigenvalue branches,
 dispersion roots, eigenfunction expansion, and the semigroup split."""
 
+import ast
 import math
 import os
+import pathlib
 import threading
 
 import numpy as np
@@ -302,6 +304,91 @@ def test_propagate_rejects_negative_time(ops16):
     B = spectral.mode_matrix(ops16[0], 0.7)
     with pytest.raises(ValueError):
         spectral.propagate(B, np.ones(B.shape[0]), [1.0, -1.0])
+
+
+def _rel_to_scipy(E, A):
+    ref = scipy.linalg.expm(A)
+    return np.max(np.abs(E - ref)) / np.max(np.abs(ref))
+
+
+def test_expm_matches_scipy(rng):
+    A = rng.standard_normal((5, 24, 24))
+    E = spectral.expm(A)
+    assert E.shape == A.shape
+    for Ei, Ai in zip(E, A):
+        assert _rel_to_scipy(Ei, Ai) <= 1e-13
+    C = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    assert _rel_to_scipy(spectral.expm(C), C) <= 1e-13
+    # s = 0: no scaling or squaring; and a 1-norm of 60: s = 4
+    small = A[0] * (spectral.THETA13 / 2.0) / np.abs(A[0]).sum(axis=0).max()
+    assert _rel_to_scipy(spectral.expm(small), small) <= 1e-13
+    big = A[1] * 60.0 / np.abs(A[1]).sum(axis=0).max()
+    assert _rel_to_scipy(spectral.expm(big), big) <= 1e-13
+
+
+def test_expm_of_zero_is_identity():
+    # no log2(0) warning, and exactly I, alone and next to a scaled matrix
+    assert np.array_equal(spectral.expm(np.zeros((6, 6))), np.eye(6))
+    stack = np.zeros((2, 6, 6))
+    stack[1] = 20.0 * np.eye(6)
+    E = spectral.expm(stack)
+    assert np.array_equal(E[0], np.eye(6))
+    assert _rel_to_scipy(E[1], stack[1]) <= 1e-13
+
+
+def test_expm_stack_same_bits_as_single(ops16):
+    # per-matrix scaling: norms from 0.2 to 50 in one stack
+    etas = [0.0, 0.3, 2.0, 9.0]
+    A = spectral.real_mode_matrices(ops16[0], etas) * np.array(
+        [0.05, 1.0, 4.0, 0.5])[:, None, None]
+    E = spectral.expm(A)
+    for Ei, Ai in zip(E, A):
+        assert np.array_equal(Ei, spectral.expm(Ai))
+    assert np.array_equal(E[1:3], spectral.expm(A[1:3]))
+
+
+@pytest.mark.parametrize("n1, nr", [(16, 8), (5, 2)])
+def test_real_mode_matrices_same_bits_as_real_form(n1, nr, cache_dir):
+    # n1 = 5 has a node on v1 = 0, which P fixes
+    from mvpb.collision import CollisionOperator
+    from mvpb.green import SpaceGrid
+    etas = np.concatenate([[0.0], SpaceGrid(50.0, 64).eta, [-0.7]])
+    for b in basis_pair(n1, nr):
+        op = CollisionOperator(b, cache_dir=cache_dir)
+        block = spectral.real_mode_matrices(op, etas)
+        for eta, Br in zip(etas, block):
+            ref = spectral.real_form(spectral.mode_matrix(op, eta),
+                                     b.reflection)
+            assert np.array_equal(Br, ref)
+        assert np.array_equal(spectral.real_mode_matrices(op, [0.3])[0],
+                              spectral.real_form(spectral.mode_matrix(op, 0.3),
+                                                 b.reflection))
+
+
+@pytest.mark.parametrize("ts", [[0.0, 1.0, 2.0, 4.0], [0.5, 1.0, np.sqrt(2.0)]])
+def test_propagate_stack_same_bits_as_single(ops16, rng, ts):
+    b = ops16[0].basis
+    Br = spectral.real_mode_matrices(ops16[0], [0.2, 0.9, 3.0])
+    X = rng.standard_normal((b.n, 2)) + 1j * rng.standard_normal((b.n, 2))
+    out = spectral.propagate(Br, np.broadcast_to(X, (3,) + X.shape), ts)
+    assert out.shape == (len(ts), 3) + X.shape
+    for k in range(3):
+        assert np.array_equal(out[:, k], spectral.propagate(Br[k], X, ts))
+
+
+def test_package_has_no_scipy_expm():
+    # one propagator path, spectral.expm, which every module imports by
+    # name; SciPy's stays the tests' oracle.  So no module reads an
+    # attribute expm (scipy.linalg.expm, or under any alias) or imports
+    # expm from scipy.
+    root = pathlib.Path(spectral.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "expm", f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module or "").startswith("scipy"):
+                assert "expm" not in [a.name for a in node.names], path.name
 
 
 # --------------------------------------------------------------------- #
