@@ -61,7 +61,9 @@ SCHEMA = {
     "times": (_times, "1,2,4,8",
               lambda s: all(math.isfinite(t) and t >= 0 for t in parse_times(s)),
               "comma-separated finite sample times >= 0"),
-    "levels": (int, 7, _positive, "Picard wave-front levels J_0..J_{levels-1}"),
+    "levels": (int, 7, lambda n: n >= 2,
+               "Picard wave-front levels J_0..J_{levels-1}, at least 2: the "
+               "wave sum leaves out the top level"),
     "delta0": (float, 1e-3, _positive, "initial-data amplitude"),
     "gamma0": (float, 1.0, lambda x: x > 0.5, "initial-data spatial decay"),
     "collisions": (_bool, True, lambda b: True, "bilinear collision toggle"),

@@ -12,9 +12,8 @@ straight into three parity blocks of the reflection v1 -> -v1.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -23,11 +22,11 @@ from .collision import CollisionOperator, cache_path, load_array, store_array
 from .errors import CFLViolation, Instability, MemoryBudget, NoConvergence
 from .green import SpaceGrid, linear_log_fit
 from .moments import CFL, apply_v1_derivative, solve_field
-from .spectral import (SQRT2, eig_workers, expm, from_real_form, mode_blocks,
-                       on_workers, real_mode_matrices, to_real_form)
+from .spectral import (SQRT2, expm, from_real_form, mode_blocks, on_workers,
+                       real_mode_matrices, to_real_form)
 # not called here: perfbench/tracer.py wraps mvpb.nonlinear.mode_matrix
 from .spectral import mode_matrix  # noqa: F401
-from .velocity import VelocityBasis, macro_speeds, maxwellian
+from .velocity import VelocityBasis, macro_speeds
 
 
 # ---------------------------------------------------------------------- #
@@ -81,9 +80,9 @@ class _TensorInterp:
     """Product barycentric interpolation on the (v1, vr) node grid."""
 
     def __init__(self, basis: VelocityBasis):
-        self.n1, self.nr = basis.n1, basis.nr
-        self.v1 = basis.v1.reshape(self.n1, self.nr)[:, 0]
-        self.vr = basis.vr.reshape(self.n1, self.nr)[0, :]
+        n1, nr = basis.n1, basis.nr
+        self.v1 = basis.v1.reshape(n1, nr)[:, 0]
+        self.vr = basis.vr.reshape(n1, nr)[0, :]
         self.b1 = _bary_weights(self.v1)
         self.br = _bary_weights(self.vr)
         self.vmax = basis.vmax
@@ -101,13 +100,6 @@ class _TensorInterp:
         cr, sr = _bary_terms(self.vr, self.br, np.clip(pr, 0.0, self.vmax))
         c1 *= inside / (s1 * sr)
         return c1, cr
-
-    def matrix(self, p1, pr, out):
-        """(npts, n) cardinal rows, written into out; zero outside the box."""
-        a1, ar = self.factors(p1, pr)
-        np.multiply(a1.T[:, :, None], ar.T[:, None, :],
-                    out=out.reshape(len(p1), self.n1, self.nr))
-        return out
 
 
 # ---------------------------------------------------------------------- #
@@ -131,8 +123,9 @@ def _gamma_quadrature(basis: VelocityBasis):
     v* runs over the basis's own 2-D node set (its quadrature weights
     divided by the azimuthal factor give the (v*1, v*r) measure), phi* is
     a midpoint rule for the azimuth of v*, and omega uses Gauss nodes in
-    the polar cosine times a midpoint azimuth.  ell_star interpolates node
-    values at the v* points.
+    the polar cosine times a midpoint azimuth.  Each v* is the node
+    star_node turned about the v1 axis, so node values are read there,
+    not interpolated.
 
     The full rule holds each collision four times, so one quarter of it is
     kept with weight x4.  omega and -omega give the same v', v'* and rate
@@ -173,21 +166,18 @@ def _gamma_quadrature(basis: VelocityBasis):
     ], axis=1)                                           # (n_om, 3)
     w_omega = np.repeat(wt, OMEGA_PHI_NODES) * (2.0 * np.pi / OMEGA_PHI_NODES)
     # v* in 3-D for each (node, phi*)
-    v1s = np.repeat(basis.v1, len(phis))
-    vrs = np.repeat(basis.vr, len(phis))
+    star_node = np.repeat(np.arange(basis.n), len(phis))
+    vrs = basis.vr[star_node]
     phs = np.tile(phis, basis.n)
-    vstar = np.stack([v1s, vrs * np.cos(phs), vrs * np.sin(phs)], axis=1)
+    vstar = np.stack([basis.v1[star_node], vrs * np.cos(phs),
+                      vrs * np.sin(phs)], axis=1)
     # measure: basis.w includes the sector azimuthal factor 2*pi; the
     # explicit phi* rule over (0, pi), doubled by the mirror, replaces it
     w_star = np.repeat(basis.w / (2.0 * np.pi), len(phis)) \
         * 2.0 * (2.0 * np.pi / PHI_STAR_NODES)
-    vrstar = np.hypot(vstar[:, 1], vstar[:, 2])
-    interp = _TensorInterp(basis)
-    return {"vstar": vstar, "w_star": w_star,
-            "sqm_star": np.sqrt(maxwellian(vstar[:, 0], vrstar)),
-            "omega": omega, "w_omega": w_omega, "interp": interp,
-            "ell_star": interp.matrix(vstar[:, 0], vrstar,
-                                      np.empty((len(vstar), basis.n)))}
+    return {"vstar": vstar, "w_star": w_star, "star_node": star_node,
+            "omega": omega, "w_omega": w_omega,
+            "interp": _TensorInterp(basis)}
 
 
 def _chunk_points(n):
@@ -199,7 +189,7 @@ def _gamma_sweep(basis: VelocityBasis, quad, i):
     """Chunks of the collision quadrature at output node i, in a fixed order.
 
     Yields (star, cw, fp, fs) for one chunk of the node's (v*, omega)
-    points: star is the v* index of each point, cw its weight
+    points: star is the node of each point's v*, cw its weight
     w |(v - v*).omega| sqrtM(v*), and fp and fs the factors
     (_TensorInterp.factors) of the rows interpolating node values at the
     post-collision velocities v' = v - ((v - v*).omega) omega and
@@ -218,9 +208,10 @@ def _gamma_sweep(basis: VelocityBasis, quad, i):
     pr = np.hypot(v[1] - dv[1], dv[2]).ravel()
     s1 = (vstar[:, :1] + dv[0]).ravel()
     sr = np.hypot(vstar[:, 1:2] + dv[1], vstar[:, 2:] + dv[2]).ravel()
+    star_node = quad["star_node"]
     cw = (quad["w_star"][:, None] * quad["w_omega"][None, :] * np.abs(proj)
-          * quad["sqm_star"][:, None]).ravel()
-    star = np.repeat(np.arange(len(vstar)), len(omega))
+          * basis.sqrt_maxwell[star_node][:, None]).ravel()
+    star = np.repeat(star_node, len(omega))
     step = _chunk_points(basis.n)
     for q0 in range(0, len(cw), step):
         sl = slice(q0, q0 + step)
@@ -234,12 +225,12 @@ def _gamma_node_rows(basis: VelocityBasis, quad, i):
     The chunks are summed in the sweep's order into this call's own
     buffers, so the result does not depend on which thread runs it.  The
     weight cw folds into the v1 factor of v'* before the dense (n, npts)
-    interpolation columns are formed, and the loss row is read once per
-    v*: the weights summed per v* times ell_star.
+    interpolation columns are formed, and the loss row is the weights
+    summed per node of v*.
     """
-    n, n1, nr, ns = basis.n, basis.n1, basis.nr, len(quad["vstar"])
+    n, n1, nr = basis.n, basis.n1, basis.nr
     Ti = np.zeros((n, n))
-    load = np.zeros(ns)
+    load = np.zeros(n)
     buf_p, buf_s = np.empty((2, n * _chunk_points(n)))
     for star, cw, (p1, pr), (s1, sr) in _gamma_sweep(basis, quad, i):
         m = len(cw)
@@ -248,8 +239,8 @@ def _gamma_node_rows(basis: VelocityBasis, quad, i):
         As = np.multiply((s1 * cw)[:, None, :], sr[None, :, :],
                          out=buf_s[:n * m].reshape(n1, nr, m))
         Ti += As.reshape(n, m) @ Ap.reshape(n, m).T
-        load += np.bincount(star, cw, minlength=ns)
-    return Ti, load @ quad["ell_star"]
+        load += np.bincount(star, cw, minlength=n)
+    return Ti, load
 
 
 def _invariant_cleanup(basis: VelocityBasis, arr):
@@ -357,11 +348,12 @@ def _gamma_blocks(basis: VelocityBasis, flat):
     """The bilinear operator's GammaTensor.blocks, written into flat.
 
     Node i's row of the node tensor is M = (G + G^T)/2 for its gain row G,
-    less half its loss row on row i and on column i.  eig_workers() threads
-    (the GEMMs release the GIL) sweep one node of each mirror pair
+    less half its loss row on row i and on column i.  spectral.on_workers
+    (the GEMMs release the GIL) sweeps one node of each mirror pair
     i < P[i], then the nodes P fixes (_mirror_pairs), one per task, so the
-    task index is the even output coordinate; rows are written in sweep
-    order, so the blocks are the same bits on any worker count.
+    task index is the even output coordinate; each task writes its own
+    row's block slices, so the blocks are the same bits on any worker
+    count.
 
     P maps the rule onto itself (_gamma_quadrature), so row Pi is row i
     with P on both inputs: S X S for the row X in pair coordinates, S = +1
@@ -383,17 +375,20 @@ def _gamma_blocks(basis: VelocityBasis, flat):
     # Only f and g themselves are interpolated, which keeps the tensor
     # entries O(1) and the apply path well conditioned.
     swept = np.concatenate(_mirror_pairs(perm))
-    with ThreadPoolExecutor(eig_workers()) as pool:
-        rows = pool.map(partial(_gamma_node_rows, basis, quad), swept)
-        for a, (i, (gain, loss)) in enumerate(zip(swept, rows)):
-            M = 0.5 * (gain + gain.T)
-            M[:, i] -= 0.5 * loss
-            M[i, :] -= 0.5 * loss
-            X = _to_pairs(_to_pairs(M, perm, 0), perm, 1)
-            if a < npair:
-                X *= SQRT2
-                oeo[:, a, :] = X[E, O]
-            eee[:, a, :], eoo[:, a, :] = X[E, E], X[O, O]
+
+    def sweep(a):
+        i = swept[a]
+        gain, loss = _gamma_node_rows(basis, quad, i)
+        M = 0.5 * (gain + gain.T)
+        M[:, i] -= 0.5 * loss
+        M[i, :] -= 0.5 * loss
+        X = _to_pairs(_to_pairs(M, perm, 0), perm, 1)
+        if a < npair:
+            X *= SQRT2
+            oeo[:, a, :] = X[E, O]
+        eee[:, a, :], eoo[:, a, :] = X[E, E], X[O, O]
+
+    on_workers(sweep, range(len(swept)))
     # _invariant_cleanup on the output axis: I - chi^T (chi w) in pairs
     chi = _to_pairs(basis.invariants, perm)
     chi_w = _to_pairs(basis.invariants * basis.w, perm)
@@ -422,7 +417,7 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
     their tag (grid and quadrature sizes, rule version) in a file named by
     the grid alone, and loaded when the file's tag matches; a file with
     another tag (an older quadrature or layout) or a damaged file is
-    rebuilt in place.  The quadrature sweep runs on eig_workers() threads
+    rebuilt in place.  The quadrature sweep runs on spectral.on_workers
     and gives the same blocks on any thread count; an error in a worker
     propagates from here after the pool has shut down, and no file is
     written.  build_seconds is the build's perf_counter time.
@@ -434,7 +429,7 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
     # the last entry is the rule version: change it with the quadrature, the
     # nodes or the stored layout
     tag = (basis.n1, basis.nr, basis.vmax, PHI_STAR_NODES,
-           OMEGA_THETA_NODES, OMEGA_PHI_NODES, 5)
+           OMEGA_THETA_NODES, OMEGA_PHI_NODES, 6)
     perm = basis.reflection
     size = sum(int(np.prod(s)) for s in _block_shapes(perm))
     path = cache_path(cache_dir, "gamma", tag[:3]) if cache_dir else None
@@ -499,7 +494,7 @@ def apply_gamma(gamma: GammaTensor, f, g):
     one BLAS thread: at n = 32, 128 rows took 0.95 ms against 1.8 ms in
     one chunk; at n = 128, 128 and 256 rows were equally fast and 8 rows
     took twice as long; at n = 288, 128 rows took 0.39 s against 0.48 s
-    with 50 rows.  The chunks run on eig_workers() threads (the GEMMs
+    with 50 rows.  The chunks run on spectral.on_workers (the GEMMs
     release the GIL) only when a block has at least
     GAMMA_APPLY_THREAD_ENTRIES entries: a second thread made the apply
     slower at n = 32 and 72, and took it from 43 to 26 ms at n = 128 and
@@ -524,16 +519,12 @@ def apply_gamma(gamma: GammaTensor, f, g):
 
     chunks = [slice(a, a + GAMMA_APPLY_ROWS)
               for a in range(0, len(out), GAMMA_APPLY_ROWS)]
-    workers = 1
     if len(gamma.blocks[0]) ** 3 >= GAMMA_APPLY_THREAD_ENTRIES:
-        workers = max(1, min(eig_workers(), len(chunks)))
-    gamma.apply_workers = workers
-    if workers == 1:
+        gamma.apply_workers = on_workers(chunk, chunks)
+    else:
         for sl in chunks:
             chunk(sl)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(chunk, chunks))
+        gamma.apply_workers = 1
     return (out @ Q.T).reshape(shape)
 
 
@@ -567,15 +558,13 @@ def gamma_direct(basis: VelocityBasis, f, g):
     Q = np.vstack([np.atleast_2d(g), e]).T
     k = P.shape[1]
     PQ = np.hstack([P, Q]).reshape(basis.n1, -1)         # (n1, nr * 2k)
-    P_star = quad["ell_star"] @ P                        # (ns, m+1)
-    Q_star = quad["ell_star"] @ Q
     acc = np.zeros((basis.n, k))
     for i in range(basis.n):
         for star, cw, fp, fs in _gamma_sweep(basis, quad, i):
             xp, xs = _interp_apply(fp, PQ), _interp_apply(fs, PQ)
             bracket = (xs[:, :k] * xp[:, k:] + xp[:, :k] * xs[:, k:]
-                       - P_star[star] * Q[i][None, :]
-                       - P[i][None, :] * Q_star[star])
+                       - P[star] * Q[i][None, :]
+                       - P[i][None, :] * Q[star])
             acc[i] += cw @ bracket
     out = _invariant_cleanup(basis, 0.5 * acc)
     ew = e * basis.w

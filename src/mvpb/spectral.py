@@ -306,10 +306,13 @@ def on_workers(task, blocks):
 
     The tasks write their own slices of shared arrays, so the result does
     not depend on the thread count.  The first error a task raises is
-    raised here, and the pool is shut down before returning.
+    raised here, and the pool is shut down before returning.  Returns the
+    thread count used.
     """
-    with ThreadPoolExecutor(max(1, min(eig_workers(), len(blocks)))) as pool:
+    workers = max(1, min(eig_workers(), len(blocks)))
+    with ThreadPoolExecutor(workers) as pool:
         list(pool.map(task, blocks))
+    return workers
 
 
 # ---------------------------------------------------------------------- #
@@ -356,10 +359,10 @@ def blas_threads():
 
 def eig_workers():
     """Threads for concurrent BLAS-bound work: usable CPUs // BLAS threads,
-    >= 1.  It sizes the pool of the branch eigensolves here, that of
-    on_workers (the propagator blocks of green.green_action and of the
-    nonlinear stepper's props, and the kinetic waves' mode blocks) and
-    those of the Gamma build's node sweep and the Gamma apply's row chunks
+    >= 1.  It sizes the pool of the branch eigensolves here and that of
+    on_workers: the propagator blocks of green.green_action and of the
+    nonlinear stepper's props, the kinetic waves' mode blocks, the Gamma
+    build's node sweep and the Gamma apply's row chunks
     (nonlinear.build_gamma, nonlinear.apply_gamma).
 
     Without a BLAS thread count BLAS uses every CPU (the OpenBLAS default),
@@ -434,7 +437,9 @@ def eigen_branches_at(op: CollisionOperator, etas):
     go to a pool of eig_workers() threads, at most that many in flight;
     the matching consumes them in eta order.  Solves still pending when
     the continuation stops are cancelled, and the pool is shut down
-    before returning.
+    before returning.  This lazily fed pool is not on_workers: it holds
+    at most eig_workers() matrices at once, and chunked on_workers solves
+    were about 5 % slower on the default grid.
     """
     b = op.basis
     mu_hat = op.micro_gap()

@@ -18,7 +18,7 @@ from mvpb.nonlinear import (GammaTensor, KineticState, NonlinearStepper,
                             initial_state, poisson_newton,
                             state_diagnostics)
 from mvpb.moments import apply_v1_derivative, solve_field
-from mvpb.velocity import VelocityBasis, maxwellian
+from mvpb.velocity import VelocityBasis
 
 
 @pytest.fixture(scope="module")
@@ -472,7 +472,7 @@ def test_apply_gamma_same_bits_on_any_workers(monkeypatch, gamma16, gamma32,
         monkeypatch.setattr(nonlinear, "GAMMA_APPLY_ROWS", rows)
         got = {}
         for workers in (1, 2):
-            monkeypatch.setattr(nonlinear, "eig_workers", lambda w=workers: w)
+            monkeypatch.setattr(spectral, "eig_workers", lambda w=workers: w)
             got[workers] = apply_gamma(gamma, f, f), apply_gamma(gamma, f, g)
             chunks = -(-150 // rows)
             assert gamma.apply_workers == min(workers, chunks)
@@ -487,7 +487,7 @@ def test_apply_gamma_same_bits_on_any_workers(monkeypatch, gamma16, gamma32,
 
 def test_apply_gamma_threads_large_blocks_only(monkeypatch, gamma16,
                                                gamma32):
-    monkeypatch.setattr(nonlinear, "eig_workers", lambda: 2)
+    monkeypatch.setattr(spectral, "eig_workers", lambda: 2)
     # n = 32: serial, a second thread does not repay the hand-off
     f = np.ones((1024, len(gamma32[1].perm)))
     apply_gamma(gamma32[1], f, f)
@@ -500,7 +500,7 @@ def test_apply_gamma_threads_large_blocks_only(monkeypatch, gamma16,
 
 
 def test_apply_gamma_worker_error_propagates(monkeypatch, gamma16):
-    monkeypatch.setattr(nonlinear, "eig_workers", lambda: 2)
+    monkeypatch.setattr(spectral, "eig_workers", lambda: 2)
     calls = []
     lock = threading.Lock()
 
@@ -544,7 +544,7 @@ def test_gamma_blocks_same_on_one_and_two_workers(monkeypatch, n1, nr):
     threads = threading.active_count()
     built = {}
     for workers in (1, 2):
-        monkeypatch.setattr(nonlinear, "eig_workers", lambda w=workers: w)
+        monkeypatch.setattr(spectral, "eig_workers", lambda w=workers: w)
         built[workers] = _blocks(build_gamma(b))
         assert threading.active_count() == threads
     assert np.array_equal(built[1], built[2])
@@ -573,7 +573,7 @@ def test_gamma_worker_error_propagates(tmp_path, monkeypatch):
         return node_rows(basis, quad, i)
 
     monkeypatch.setattr(nonlinear, "_gamma_node_rows", fails_at_third_node)
-    monkeypatch.setattr(nonlinear, "eig_workers", lambda: 2)
+    monkeypatch.setattr(spectral, "eig_workers", lambda: 2)
     threads = threading.active_count()
     with pytest.raises(FloatingPointError, match="node %d" % swept[2]):
         build_gamma(b, cache_dir=str(tmp_path))
@@ -591,9 +591,12 @@ def test_interp_apply_matches_dense_rows():
     pr = np.concatenate([rng.uniform(0.0, 9.0, 200),
                          np.resize(interp.vr, len(interp.v1))])
     X = rng.standard_normal((b.n, 3))
-    dense = interp.matrix(p1, pr, np.empty((len(p1), b.n))) @ X
-    got = nonlinear._interp_apply(interp.factors(p1, pr),
-                                  X.reshape(b.n1, -1))
+    a1, ar = interp.factors(p1, pr)
+    # row q is the Kronecker product of a1[:, q] and ar[:, q], on node
+    # index a * nr + b
+    rows = (a1.T[:, :, None] * ar.T[:, None, :]).reshape(len(p1), b.n)
+    dense = rows @ X
+    got = nonlinear._interp_apply((a1, ar), X.reshape(b.n1, -1))
     assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
     outside = (np.abs(p1) > b.vmax) | (pr > b.vmax)
     assert outside.any() and not got[outside].any()
@@ -695,18 +698,16 @@ def _full_quadrature(basis):
     omega = np.stack([np.repeat(ct, n_pho), np.outer(st, np.cos(pho)).ravel(),
                       np.outer(st, np.sin(pho)).ravel()], axis=1)
     w_omega = np.repeat(wt, n_pho) * (2.0 * np.pi / n_pho)
-    vrs = np.repeat(basis.vr, len(phis))
+    star_node = np.repeat(np.arange(basis.n), len(phis))
+    vrs = basis.vr[star_node]
     phs = np.tile(phis, basis.n)
-    vstar = np.stack([np.repeat(basis.v1, len(phis)), vrs * np.cos(phs),
+    vstar = np.stack([basis.v1[star_node], vrs * np.cos(phs),
                       vrs * np.sin(phs)], axis=1)
     w_star = np.repeat(basis.w / (2.0 * np.pi), len(phis)) \
         * (2.0 * np.pi / len(phis))
-    interp = nonlinear._TensorInterp(basis)
-    return {"vstar": vstar, "w_star": w_star,
-            "sqm_star": np.sqrt(maxwellian(vstar[:, 0], vrs)),
-            "omega": omega, "w_omega": w_omega, "interp": interp,
-            "ell_star": interp.matrix(vstar[:, 0], vrs,
-                                      np.empty((len(vstar), basis.n)))}
+    return {"vstar": vstar, "w_star": w_star, "star_node": star_node,
+            "omega": omega, "w_omega": w_omega,
+            "interp": nonlinear._TensorInterp(basis)}
 
 
 def test_gamma_quarter_rule_matches_full_rule(monkeypatch):
@@ -724,6 +725,18 @@ def test_gamma_quarter_rule_matches_full_rule(monkeypatch):
     assert np.abs(quarter - full).max() <= 1e-13 * np.abs(full).max()
     assert np.abs(quarter_direct - full_direct).max() \
         <= 1e-13 * np.abs(full_direct).max()
+
+
+@pytest.mark.parametrize("n1, nr", [(8, 4), (5, 2)])
+def test_gamma_vstar_is_its_node_turned_about_v1(n1, nr):
+    # node values at v* are read at star_node, not interpolated: each v*
+    # has its node's v1 exactly and its node's radial speed
+    b = VelocityBasis(n1, nr, 8.0, 0)
+    quad = nonlinear._gamma_quadrature(b)
+    vstar, node = quad["vstar"], quad["star_node"]
+    assert np.array_equal(vstar[:, 0], b.v1[node])
+    vr = np.hypot(vstar[:, 1], vstar[:, 2])
+    assert np.all(np.abs(vr - b.vr[node]) <= 1e-15 * b.vr[node])
 
 
 def test_gamma_quadrature_keeps_one_quarter():
