@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
@@ -218,8 +219,6 @@ class CollisionOperator:
         spectral, Green's-function and time-stepping code uses this matrix,
         which annihilates the invariants to round-off and keeps the discrete
         moment balance exact.
-    Lmat_even : (n, n) array
-        (Lmat + P Lmat P)/2 for the reflection P: v1 -> -v1.
     """
 
     def __init__(self, basis: VelocityBasis, nphi=128, cache_dir=None):
@@ -255,11 +254,14 @@ class CollisionOperator:
         WL = w[:, None] * Lc
         WL = 0.5 * (WL + WL.T)
         self.Lmat = WL / w[:, None]
-        perm = basis.reflection
-        #: (L + P L P)/2, P the reflection: the part of every real form
-        #: B_r(eta) that does not depend on eta (spectral.real_mode_matrices)
-        self.Lmat_even = 0.5 * (self.Lmat + self.Lmat[perm][:, perm])
         self._micro = None
+
+    @cached_property
+    def Lmat_pairs(self):
+        """Q^T Lmat Q less its EO and OE blocks (round-off), formed on first
+        use: the eta-free part of each R(eta) (spectral imports this module)."""
+        from .spectral import real_form
+        return real_form(self.Lmat, self.basis.reflection)
 
     # ------------------------------------------------------------------ #
 

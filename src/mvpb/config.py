@@ -111,6 +111,12 @@ def apply_overrides(cfg: RunConfig, overrides):
     if cfg.n1 * cfg.nr < 4:
         raise ConfigError(f"n1 * nr = {cfg.n1 * cfg.nr} out of range "
                           f"(n1 = {cfg.n1}, nr = {cfg.nr}; at least 4)")
+    # the nonlinear study takes round(t_end / dt) steps to reach t_end
+    steps = cfg.t_end / cfg.dt
+    if not (math.isfinite(steps) and round(steps) >= 1
+            and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ConfigError(f"t_end / dt = {steps!r} is not a whole number "
+                          f"of steps >= 1 (t_end = {cfg.t_end}, dt = {cfg.dt})")
 
 
 def parse_config(path):

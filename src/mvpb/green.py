@@ -103,9 +103,9 @@ def green_action(op: CollisionOperator, grid: SpaceGrid, seeds, ts,
     datum: (nh,) coefficients of the profile, by default the point source.
     Returns complex array (n_seeds, n_times, grid.nh, n).  The modes with
     |datum| > 1e-14 max split into blocks (spectral.mode_blocks); each
-    block builds its real forms B_r(eta), propagates the seeds through
-    them in one call of propagate (seeds mapped by U* and back by U) and
-    writes its own modes, on eig_workers() threads (spectral.on_workers).
+    block builds its real forms R(eta), propagates the seeds through
+    them in one call of propagate (to_real_form in, from_real_form out)
+    and writes its own modes, on eig_workers() threads (on_workers).
     The other modes stay zero.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=complex))

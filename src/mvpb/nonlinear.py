@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -22,8 +21,10 @@ from .collision import CollisionOperator, cache_path, load_array, store_array
 from .errors import CFLViolation, Instability, MemoryBudget, NoConvergence
 from .green import SpaceGrid, linear_log_fit
 from .moments import CFL, apply_v1_derivative, solve_field
-from .spectral import (SQRT2, expm, from_real_form, mode_blocks, on_workers,
-                       real_mode_matrices, to_real_form)
+from .spectral import (SQRT2, _from_pairs, _mirror_pairs, _odd_phase,
+                       _pair_matrix, _to_pairs, expm, from_real_form,
+                       mode_blocks, on_workers, real_mode_matrices,
+                       to_real_form)
 # not called here: perfbench/tracer.py wraps mvpb.nonlinear.mode_matrix
 from .spectral import mode_matrix  # noqa: F401
 from .velocity import VelocityBasis, macro_speeds
@@ -255,52 +256,16 @@ def _invariant_cleanup(basis: VelocityBasis, arr):
     return arr - np.tensordot(chi.T, load, axes=(1, 0))
 
 
-# ---------------------------------------------------------------------- #
-# parity pair basis of the reflection
-# ---------------------------------------------------------------------- #
-
-def _mirror_pairs(perm):
-    """(lo, fix): node i of each mirror pair i < P[i], and nodes with P[i] = i."""
-    idx = np.arange(len(perm))
-    return idx[idx < perm], idx[idx == perm]
-
-
-def _to_pairs(x, perm, axis=-1):
-    """Coordinates of node vectors along axis in the orthonormal pair basis.
-
-    The coordinates are [even | odd]: e = (x_i + x_Pi)/sqrt2 for each pair
-    i < P[i], then e = x_i for each node with P[i] = i, then
-    o = (x_i - x_Pi)/sqrt2 for each pair.
-    """
-    lo, fix = _mirror_pairs(perm)
-    a = np.take(x, lo, axis=axis)
-    b = np.take(x, perm[lo], axis=axis)
-    return np.concatenate([(a + b) / SQRT2, np.take(x, fix, axis=axis),
-                           (a - b) / SQRT2], axis=axis)
-
-
-def _from_pairs(c, perm, axis=-1):
-    """Node vectors along axis from their pair coordinates (_to_pairs)."""
-    lo, fix = _mirror_pairs(perm)
-    npair, ne = len(lo), len(lo) + len(fix)
-    out = np.empty_like(c)
-    src, dst = np.moveaxis(c, axis, 0), np.moveaxis(out, axis, 0)
-    dst[lo] = (src[:npair] + src[ne:]) / SQRT2
-    dst[perm[lo]] = (src[:npair] - src[ne:]) / SQRT2
-    dst[fix] = src[npair:ne]
-    return out
-
-
 @dataclass
 class GammaTensor:
-    """Bilinear collision tensor in the parity pair basis of the reflection.
+    """Bilinear collision tensor in the pair basis of the reflection.
 
-    In the pair coordinates of _to_pairs (ne even, no odd) only the blocks
-    with an even number of odd indices survive: EEE, EOO, OEO and OOE, the
-    last the transpose of OEO in its two input axes.  blocks holds EEE,
-    EOO and OEO, ne^3 + 2 ne no^2 entries (3/8 of n^3 for even n1), each
-    input-major: X[b, a, c] for output coordinate a and input pair (b, c),
-    so that the first argument contracts in one GEMM.
+    In the pair coordinates of spectral._to_pairs (ne even, no odd) only
+    the blocks with an even number of odd indices survive: EEE, EOO, OEO
+    and OOE, the last the transpose of OEO in its two input axes.  blocks
+    holds EEE, EOO and OEO, ne^3 + 2 ne no^2 entries (3/8 of n^3 for even
+    n1), each input-major: X[b, a, c] for output coordinate a and input
+    pair (b, c), so that the first argument contracts in one GEMM.
     """
 
     blocks: tuple               # (ne, ne, ne), (no, ne, no), (ne, no, no)
@@ -308,12 +273,6 @@ class GammaTensor:
     tag: tuple
     build_seconds: float = 0.0  # 0.0 when loaded from the cache
     apply_workers: int = 0      # threads of the latest apply_gamma call
-
-    @cached_property
-    def pairs(self):
-        """The orthonormal (n, n) matrix Q of the pair basis: x @ Q is
-        _to_pairs(x) and c @ Q.T is _from_pairs(c), up to round-off."""
-        return _to_pairs(np.eye(len(self.perm)), self.perm)
 
     @property
     def tensor(self):
@@ -382,7 +341,7 @@ def _gamma_blocks(basis: VelocityBasis, flat):
         M = 0.5 * (gain + gain.T)
         M[:, i] -= 0.5 * loss
         M[i, :] -= 0.5 * loss
-        X = _to_pairs(_to_pairs(M, perm, 0), perm, 1)
+        X = _pair_matrix(M, perm)
         if a < npair:
             X *= SQRT2
             oeo[:, a, :] = X[E, O]
@@ -481,12 +440,9 @@ def _apply_pairs(blocks, cf, cg, out):
 
 
 def apply_gamma(gamma: GammaTensor, f, g):
-    """Symmetric bilinear application on (..., n) node fields.
-
-    f and g map to their pair coordinates by one GEMM each with the pair
-    matrix (GammaTensor.pairs), each parity block contracts in one GEMM
-    and one batched mat-vec per row chunk, written in place, and the
-    result maps back by one GEMM with the transpose.
+    """Symmetric bilinear application on (..., n) fields in pair
+    coordinates (spectral._to_pairs), returned in them: each parity block
+    contracts in one GEMM and one batched mat-vec per row chunk, in place.
 
     A chunk has GAMMA_APPLY_ROWS rows.  At small n that keeps each block
     GEMM's (rows, ne^2) intermediate in L2; at large n it bounds how often
@@ -504,14 +460,11 @@ def apply_gamma(gamma: GammaTensor, f, g):
 
     Gamma(f, g) and Gamma(g, f) agree exactly in floating point.
     """
-    Q = gamma.pairs
-    n = len(Q)
     same = f is g
-    f = np.asarray(f)
-    g = np.asarray(g)
+    f, g = np.asarray(f), np.asarray(g)
     shape = np.broadcast_shapes(f.shape, g.shape)
-    cf = np.broadcast_to(f, shape).reshape(-1, n) @ Q
-    cg = None if same else np.broadcast_to(g, shape).reshape(-1, n) @ Q
+    cf = np.broadcast_to(f, shape).reshape(-1, shape[-1])
+    cg = None if same else np.broadcast_to(g, shape).reshape(-1, shape[-1])
     out = np.empty(cf.shape, dtype=np.result_type(f, g, float))
 
     def chunk(sl):
@@ -525,7 +478,7 @@ def apply_gamma(gamma: GammaTensor, f, g):
         for sl in chunks:
             chunk(sl)
         gamma.apply_workers = 1
-    return (out @ Q.T).reshape(shape)
+    return out.reshape(shape)
 
 
 def _interp_apply(factors, X):
@@ -636,10 +589,17 @@ def field_time_derivative(grid: SpaceGrid, phi, dn_dt):
 
 @dataclass
 class KineticState:
-    """Sector-0 perturbation in mixed representation (frequency x nodes)."""
+    """Sector-0 perturbation in mixed representation (frequency x nodes),
+    held in R(eta)'s coordinates (spectral.to_real_form with perm)."""
 
-    coef: np.ndarray            # (nh, n) complex, non-negative modes
+    real_coef: np.ndarray       # (nh, n) complex, non-negative modes
+    perm: np.ndarray
     t: float
+
+    @property
+    def coef(self):
+        """(nh, n) complex node coefficients, derived when read."""
+        return from_real_form(self.real_coef, self.perm, axis=1)
 
 
 class NonlinearStepper:
@@ -651,39 +611,40 @@ class NonlinearStepper:
     the beyond-linear part of the field equation.  The field is solved
     only where it is read: in the quadratic step when field_terms is on.
 
-    The half-step is one batched real GEMM of props, exp(B_r dt/2) per
-    mode, on a float view of the complex coefficients.  props is formed
-    by blocks of modes (spectral.mode_blocks), each block assembling its
-    B_r, exponentiating them (spectral.expm) and writing its slice on
-    eig_workers() threads, so it is the same bits on any worker count.  A
-    quadratic stage makes one field solve (poisson_newton), reads d_x phi
-    and the beyond-linear gradient from one stacked rfft/irfft pair,
-    applies the field advection 1/2 v1 f d_x phi - d_x phi d_v1 f as one
-    GEMM with the matrix advect, formed here, and Gamma through
-    apply_gamma.
+    The state stays in R(eta)'s coordinates.  A half-step is one batched
+    real GEMM of props, exp(R dt/2) per mode (built by blocks of modes on
+    eig_workers() threads, the same bits on any worker count), on a float
+    view of the complex coefficients.  A quadratic stage maps the state to
+    the field's pair coordinates by one multiply by (-1)^k (x) D and one
+    irfft, solves the field once (poisson_newton), takes d_x phi and the
+    beyond-linear gradient from one stacked rfft/irfft pair, applies
+    1/2 v1 f d_x phi - d_x phi d_v1 f as one GEMM and Gamma through
+    apply_gamma, and maps back by one rfft and one multiply.  mass_w and
+    dv1 act on node vectors (state_diagnostics).
     """
 
     def __init__(self, op: CollisionOperator, grid: SpaceGrid, dt,
                  gamma: GammaTensor = None, field_terms=True):
-        self.op = op
         self.grid = grid
         self.dt = float(dt)
         self.gamma = gamma
         self.field_terms = field_terms
-        b = op.basis
-        self.b = b
+        self.b = b = op.basis
+        perm = b.reflection
         self.mass_w = b.invariants[0] * b.w
-        self.v1chi0 = b.v1 * b.invariants[0]
         self._dv_min = np.min(np.diff(np.unique(np.round(b.v1, 12))))
         #: d/dv1 on node rows: f @ dv1 == apply_v1_derivative(b, f)
         self.dv1 = apply_v1_derivative(b, np.eye(b.n))
-        #: f @ advect == 1/2 v1 f - d/dv1 f on node rows
-        self.advect = 0.5 * np.diag(b.v1) - self.dv1
+        # in pair coordinates; f @ advect is 1/2 v1 f - d/dv1 f on rows
+        self._mass_w = _to_pairs(self.mass_w, perm)
+        self._v1chi0 = _to_pairs(b.v1 * b.invariants[0], perm)
+        self._advect = _pair_matrix(0.5 * np.diag(b.v1) - self.dv1, perm)
+        # (-1)^k (x) D: SpaceGrid's sign on mode k, then D
+        self._phase = np.outer(grid._sign, _odd_phase(perm))
         # symbols of d_x and of d_x (I - d_xx)^{-1}
         self._ddx = 1j * grid.eta
         self._ddx_lin = self._ddx / (1.0 + grid.eta ** 2)
-        # exp(B dt/2) = U exp(B_r dt/2) U*: real half-step propagators,
-        # built and exponentiated by blocks of modes on the worker pool
+        # real half-step propagators exp(R dt/2), by mode blocks on the pool
         self.props = np.empty((grid.nh, b.n, b.n))
 
         def block(modes):
@@ -694,24 +655,21 @@ class NonlinearStepper:
 
     # -------------------------------------------------------------- #
 
-    def _half_linear(self, coef):
-        """props applied per mode, as a real GEMM on the (re, im) pairs of
-        the real-form coefficients, viewed as floats in and out."""
-        perm = self.b.reflection
-        nh, n = coef.shape
-        z = np.ascontiguousarray(to_real_form(coef, perm, axis=1))
-        y = np.empty_like(z)
-        np.matmul(self.props, z.view(np.float64).reshape(nh, n, 2),
-                  out=y.view(np.float64).reshape(nh, n, 2))
-        return from_real_form(y, perm, axis=1)
+    def _half_linear(self, y):
+        """props per mode on R-coordinate y, one GEMM on its float view."""
+        nh, n = y.shape
+        out = np.empty_like(y)
+        np.matmul(self.props, y.view(np.float64).reshape(nh, n, 2),
+                  out=out.view(np.float64).reshape(nh, n, 2))
+        return out
 
-    def _quadratic_rhs(self, coef):
-        """Explicit sources in physical space; returns coefficient rhs."""
+    def _quadratic_rhs(self, y):
+        """R-coordinate rhs of y; f_x is the real field in pair coordinates."""
         g = self.grid
-        f_x = g.to_physical(coef, axis=0)               # (nx, n) real field
+        f_x = np.fft.irfft(y * self._phase, n=g.nx, axis=0, norm="forward")
         rhs = np.zeros_like(f_x)
         if self.field_terms:
-            n_x = f_x @ self.mass_w
+            n_x = f_x @ self._mass_w
             phi = poisson_newton(g, n_x)
             # d_x phi, and d_x (phi - solve_field(n)), the beyond-linear
             # part of the field source (the linear response is inside the
@@ -721,8 +679,8 @@ class NonlinearStepper:
             dphi, dphi_nl = np.fft.irfft(
                 np.stack([dphat, dphat + self._ddx_lin * nhat]), n=g.nx,
                 axis=1)
-            rhs += dphi[:, None] * (f_x @ self.advect)
-            rhs += dphi_nl[:, None] * self.v1chi0[None, :]
+            rhs += dphi[:, None] * (f_x @ self._advect)
+            rhs += dphi_nl[:, None] * self._v1chi0[None, :]
             cfl_speed = np.abs(dphi).max()
             if self.dt * cfl_speed > CFL * self._dv_min:
                 raise CFLViolation(
@@ -730,19 +688,19 @@ class NonlinearStepper:
                     % (self.dt * cfl_speed, CFL * self._dv_min))
         if self.gamma is not None:
             rhs += apply_gamma(self.gamma, f_x, f_x)
-        return g.to_coefficients(rhs, axis=0)
+        return np.fft.rfft(rhs, axis=0, norm="forward") * self._phase.conj()
 
     def step(self, state: KineticState):
-        coef = self._half_linear(state.coef)
+        y = self._half_linear(state.real_coef)
         if self.field_terms or self.gamma is not None:
-            r1 = self._quadratic_rhs(coef)
-            mid = coef + 0.5 * self.dt * r1
+            r1 = self._quadratic_rhs(y)
+            mid = y + 0.5 * self.dt * r1
             r2 = self._quadratic_rhs(mid)
-            coef = coef + self.dt * r2
-        coef = self._half_linear(coef)
-        if not np.isfinite(np.abs(coef).max()):
+            y = y + self.dt * r2
+        y = self._half_linear(y)
+        if not np.isfinite(np.abs(y).max()):
             raise Instability("non-finite state at t=%g" % (state.t + self.dt))
-        return KineticState(coef, state.t + self.dt)
+        return KineticState(y, state.perm, state.t + self.dt)
 
 
 # ---------------------------------------------------------------------- #
@@ -762,7 +720,9 @@ def initial_state(op: CollisionOperator, grid: SpaceGrid, delta0=1e-3,
     """Localized small initial datum delta0 (1+x^2)^{-gamma0} chi0(v)."""
     bump = delta0 * (1.0 + grid.x ** 2) ** (-gamma0)
     f_x = np.outer(bump, op.basis.invariants[0])
-    return KineticState(grid.to_coefficients(f_x, axis=0), 0.0)
+    perm = op.basis.reflection
+    return KineticState(to_real_form(grid.to_coefficients(f_x, axis=0),
+                                     perm, axis=1), perm, 0.0)
 
 
 def state_diagnostics(stepper: NonlinearStepper, state: KineticState):

@@ -11,14 +11,16 @@ sector 0).
 B(eta) has a reflection symmetry.  The reflection P: v1 -> -v1 maps the
 velocity nodes and weights onto themselves exactly; it commutes with L (to
 round-off, see real_mode_matrices), anticommutes with v1, and leaves chi0
-even.  Hence conj(B) = P B P, and with the unitary U = (I - iP)/sqrt(2)
-the matrix B_r = U* B U is real.  Every dense per-eta kernel here (the
-branch eigensolves, the spectral-gap and zero-mode scans, the semigroup
-split), green.green_action and the half steps of the nonlinear stepper run
-on B_r in real arithmetic; eigenvectors and propagated vectors map back
-through U at O(n) cost per vector.  This module provides
+even.  In its orthonormal pair basis Q (_to_pairs), the one basis of the
+package, L is block diagonal and the eta-terms block off-diagonal, so
+R(eta) = D* Q^T B(eta) Q D is real for D = 1 on even and i on odd
+coordinates.  The branch eigensolves, the spectral-gap and zero-mode
+scans, the semigroup split, green.green_action and the nonlinear stepper
+run on R in real arithmetic, with vectors mapped through Q D at O(n)
+cost; the collision tensor (nonlinear.build_gamma) is stored in Q's
+coordinates.  This module provides
 
-* dense assembly of B(eta), and of B_r for a block of frequencies at once;
+* the pair basis; dense assembly of B(eta), and of R for a block of etas;
 * the matrix exponential (numpy Pade-13, one matrix or a stack) and the
   propagator exp(t B(eta)) X at a set of sample times, from one matrix
   exponential on the lattice of those times, with the blocks of modes
@@ -74,61 +76,95 @@ def mode_matrix(op: CollisionOperator, eta):
     return B
 
 
-def real_form(B, perm):
-    """Real matrix B_r = U* B U, U = (I - iP)/sqrt(2), P the reflection perm.
-
-    Exact for conj(B) = P B P: B_r = Re(((B + PBP) + i(PB - BP))/2).  Only
-    the branch continuation (eigen_branches_at) forms B_r this way, from
-    mode_matrix on the calling thread, as perfbench/tracer.py counts its
-    per-eta assemblies through mode_matrix; real_mode_matrices gives the
-    same bits.
-    """
-    R, I = B.real, B.imag
-    return 0.5 * (R + R[perm][:, perm] + I[:, perm] - I[perm])
+def _mirror_pairs(perm):
+    """(lo, fix): node i of each mirror pair i < P[i], and nodes with P[i] = i."""
+    idx = np.arange(len(perm))
+    return idx[idx < perm], idx[idx == perm]
 
 
-def real_mode_matrices(op: CollisionOperator, etas):
-    """Real forms B_r(eta) = U* B(eta) U for a block of frequencies,
-    shape (len(etas), n, n).
+def _to_pairs(x, perm, axis=-1):
+    """Q^T x along axis: [even | odd] coordinates, e = (x_i + x_Pi)/sqrt2
+    for each pair i < P[i], then e = x_i for each node with P[i] = i, then
+    o = (x_i - x_Pi)/sqrt2 for each pair."""
+    lo, fix = _mirror_pairs(perm)
+    a = np.take(x, lo, axis=axis)
+    b = np.take(x, perm[lo], axis=axis)
+    return np.concatenate([(a + b) / SQRT2, np.take(x, fix, axis=axis),
+                           (a - b) / SQRT2], axis=axis)
 
-    For conj(B) = P B P, B_r = Re(((B + PBP) + i(PB - BP))/2).  The real
-    part of B is L and its imaginary part I is -eta diag(v1), less
-    (eta/(1 + eta^2)) v1 chi0 (x) chi0 w in sector 0, so
-    B_r = (L + PLP)/2 + (I P - P I)/2 with the first term
-    op.Lmat_even.  Each entry takes the same floating-point operations as
-    forming B(eta) (mode_matrix) and taking that formula, so the result is
-    the same bits.  The dropped imaginary part (PLP - L)/2 is round-off: L
-    commutes with P only to ~2e-15 of max |L|, as its row sums and
-    invariants are formed in node order.
-    """
-    b = op.basis
-    etas = np.asarray(etas, dtype=float)
-    n, perm = b.n, b.reflection
-    half_im = np.zeros((len(etas), n, n))
-    if b.sector == 0:
-        chi0 = b.invariants[0]
-        # Im of mode_matrix's scalar 1j eta / (1 + eta^2), the same bits
-        coupling = etas / (1.0 + etas ** 2)
-        np.multiply(coupling[:, None, None],
-                    np.outer(b.v1 * chi0, chi0 * b.w), out=half_im)
-        np.negative(half_im, out=half_im)
-    diag = np.arange(n)
-    half_im[:, diag, diag] -= etas[:, None] * b.v1
-    half_im *= 0.5
-    out = half_im[:, :, perm]
-    out += op.Lmat_even
-    out -= half_im[:, perm]
+
+def _from_pairs(c, perm, axis=-1):
+    """Q c along axis: node vectors from their pair coordinates."""
+    lo, fix = _mirror_pairs(perm)
+    npair, ne = len(lo), len(lo) + len(fix)
+    out = np.empty_like(c)
+    src, dst = np.moveaxis(c, axis, 0), np.moveaxis(out, axis, 0)
+    dst[lo] = (src[:npair] + src[ne:]) / SQRT2
+    dst[perm[lo]] = (src[:npair] - src[ne:]) / SQRT2
+    dst[fix] = src[npair:ne]
     return out
 
 
+def _odd_phase(perm):
+    """The diagonal of D: 1 on the even pair coordinates, i on the odd."""
+    d = np.ones(len(perm), dtype=complex)
+    d[len(perm) - len(_mirror_pairs(perm)[0]):] = 1j
+    return d
+
+
+def _pair_matrix(X, perm):
+    """Q^T X Q for an (n, n) matrix or a stack (..., n, n)."""
+    return _to_pairs(_to_pairs(X, perm, -2), perm, -1)
+
+
+def _with_coupling(R, im, perm):
+    """R, in place, with the EO and OE blocks -(Q^T im Q)_EO, (Q^T im Q)_OE."""
+    I = _pair_matrix(im, perm)
+    ne = len(perm) - len(_mirror_pairs(perm)[0])
+    R[..., :ne, ne:] = -I[..., :ne, ne:]
+    R[..., ne:, :ne] = I[..., ne:, :ne]
+    return R
+
+
+def real_form(B, perm):
+    """R = D* Q^T B Q D for conj(B) = P B P, whose Q^T B Q has a block
+    diagonal real and block off-diagonal imaginary part up to round-off.
+    The branch continuation forms R from mode_matrix, which
+    perfbench/tracer.py counts; real_mode_matrices gives the same bits."""
+    return _with_coupling(_pair_matrix(B.real, perm), B.imag, perm)
+
+
+def real_mode_matrices(op: CollisionOperator, etas):
+    """Real forms R(eta), shape (len(etas), n, n), the same bits as
+    real_form(mode_matrix(op, eta)).  Their EE and OO blocks are L's,
+    op.Lmat_pairs (L commutes with P to ~2e-15 of max |L|, as its row sums
+    and invariants are formed in node order); the imaginary part of B,
+    -eta diag(v1) less (eta/(1 + eta^2)) v1 chi0 (x) chi0 w in sector 0,
+    gives the EO and OE blocks: real, linear in eta, plus the field term.
+    """
+    b = op.basis
+    etas = np.asarray(etas, dtype=float)
+    im = np.zeros((len(etas), b.n, b.n))
+    if b.sector == 0:
+        # Im of mode_matrix's scalar 1j eta / (1 + eta^2), the same bits
+        im -= (etas / (1.0 + etas ** 2))[:, None, None] * np.outer(
+            b.v1 * b.invariants[0], b.invariants[0] * b.w)
+    diag = np.arange(b.n)
+    im[:, diag, diag] -= etas[:, None] * b.v1
+    R = np.repeat(op.Lmat_pairs[None], len(etas), axis=0)
+    return _with_coupling(R, im, b.reflection)
+
+
 def to_real_form(X, perm, axis=0):
-    """U* X for velocity vectors along axis: into the coordinates of B_r."""
-    return (X + 1j * np.take(X, perm, axis=axis)) / SQRT2
+    """D* Q^T X for velocity vectors along axis: into the coordinates of R."""
+    c = np.moveaxis(_to_pairs(X, perm, axis), axis, -1)
+    return np.moveaxis(c * _odd_phase(perm).conj(), -1, axis)
 
 
 def from_real_form(Y, perm, axis=0):
-    """U Y for velocity vectors along axis: back from the coordinates of B_r."""
-    return (Y - 1j * np.take(Y, perm, axis=axis)) / SQRT2
+    """Q D Y for velocity vectors along axis: back from the coordinates of R."""
+    c = np.moveaxis(np.moveaxis(Y, axis, -1) * _odd_phase(perm), -1, axis)
+    return _from_pairs(c, perm, axis)
 
 
 # ---------------------------------------------------------------------- #
@@ -359,11 +395,7 @@ def blas_threads():
 
 def eig_workers():
     """Threads for concurrent BLAS-bound work: usable CPUs // BLAS threads,
-    >= 1.  It sizes the pool of the branch eigensolves here and that of
-    on_workers: the propagator blocks of green.green_action and of the
-    nonlinear stepper's props, the kinetic waves' mode blocks, the Gamma
-    build's node sweep and the Gamma apply's row chunks
-    (nonlinear.build_gamma, nonlinear.apply_gamma).
+    >= 1: the pool size of the branch eigensolves and of on_workers.
 
     Without a BLAS thread count BLAS uses every CPU (the OpenBLAS default),
     so one worker: more would oversubscribe the CPUs.
@@ -759,7 +791,7 @@ def semigroup_split(op: CollisionOperator, eta, ts, r0_hat):
     perm = b.reflection
     Br = real_mode_matrices(op, [eta])[0]
     ts = np.asarray(ts, dtype=float)
-    # exp(t B) = U exp(t B_r) U*, applied to the identity
+    # exp(t B) = W exp(t R) W*, W = Q D, applied to the identity
     S = from_real_form(
         propagate(Br, to_real_form(np.eye(b.n), perm), ts), perm, axis=1)
     W = b.eta_metric(eta)

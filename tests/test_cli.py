@@ -109,6 +109,10 @@ def test_invalid_value_exit_2(tmp_path):
     # one level is all top level, which the wave sum leaves out
     ("waves", ["levels=1"], "levels"),
     ("waves", ["levels=2"], None),
+    # a t_end off the dt lattice ran on to t = 20.1; t_end < dt ended in
+    # an empty fit window (exit 3)
+    ("nonlinear", ["t_end=20", "dt=0.3"], "t_end / dt"),
+    ("nonlinear", ["t_end=20", "dt=30"], "t_end / dt"),
 ])
 def test_unrunnable_config_exit_2(tmp_path, capsys, study, settings, key):
     # each rejected input used to end in a traceback, a NaN field (exit 3)

@@ -30,6 +30,15 @@ def grid():
 # gamma tensor
 # --------------------------------------------------------------------- #
 
+def _apply_nodes(gamma, f, g):
+    """apply_gamma on node fields, through their pair coordinates; g is f
+    stays the f is g call."""
+    perm = gamma.perm
+    cf = spectral._to_pairs(np.asarray(f), perm)
+    cg = cf if g is f else spectral._to_pairs(np.asarray(g), perm)
+    return spectral._from_pairs(apply_gamma(gamma, cf, cg), perm)
+
+
 def test_gamma_symmetry(gamma16):
     T = gamma16.tensor
     err = np.abs(T - T.transpose(0, 2, 1)).max()
@@ -39,7 +48,7 @@ def test_gamma_symmetry(gamma16):
 def test_gamma_equilibrium(bases16, gamma16):
     b0, _ = bases16
     chi0 = b0.invariants[0]
-    out = apply_gamma(gamma16, chi0, chi0)
+    out = _apply_nodes(gamma16, chi0, chi0)
     assert b0.norm(out) <= 1e-6
 
 
@@ -48,7 +57,7 @@ def test_gamma_collision_invariance(bases16, gamma16, rng):
     for _ in range(10):
         f = rng.standard_normal(b0.n)
         g = rng.standard_normal(b0.n)
-        out = apply_gamma(gamma16, f, g)
+        out = _apply_nodes(gamma16, f, g)
         p0 = out @ b0.P0.T
         assert b0.norm(p0) <= 1e-6 * b0.norm(f) * b0.norm(g)
 
@@ -155,7 +164,10 @@ def test_half_step_real_form_matches_expm(ops16, grid):
     assert stepper.props.shape == (grid.nh, b.n, b.n)
     coef = rng.standard_normal((grid.nh, b.n)) \
         + 1j * rng.standard_normal((grid.nh, b.n))
-    out = stepper._half_linear(coef)
+    perm = b.reflection
+    out = spectral.from_real_form(
+        stepper._half_linear(spectral.to_real_form(coef, perm, axis=1)),
+        perm, axis=1)
     for k in (0, 5, 50, grid.nh - 1):
         P = scipy.linalg.expm(spectral.mode_matrix(op0, grid.eta[k]) * dt / 2)
         exact = P @ coef[k]
@@ -243,8 +255,9 @@ def test_step_solves_field_only_where_read(ops16, grid, gamma16, monkeypatch,
     assert len(calls) == solves
 
 
-def _quadratic_rhs_composed(stepper, coef):
-    """The quadratic stage composed term by term from the public layers."""
+def _quadratic_rhs_composed(stepper, coef, dense=False):
+    """The quadratic stage composed term by term from the public layers,
+    in node coordinates; dense contracts Gamma from the dense tensor."""
     g, b = stepper.grid, stepper.b
     f_x = g.to_physical(coef, axis=0)
     rhs = np.zeros_like(f_x)
@@ -255,45 +268,78 @@ def _quadratic_rhs_composed(stepper, coef):
         rhs += 0.5 * dphi[:, None] * (b.v1 * f_x)
         rhs -= dphi[:, None] * apply_v1_derivative(b, f_x)
         dphi_nl = g.derivative(phi - solve_field(g, n_x))
-        rhs += dphi_nl[:, None] * stepper.v1chi0
-    if stepper.gamma is not None:
-        rhs += apply_gamma(stepper.gamma, f_x, f_x)
+        rhs += dphi_nl[:, None] * (b.v1 * b.invariants[0])
+    if dense:
+        rhs += np.einsum("ijk,rj,rk->ri", stepper.gamma.tensor, f_x, f_x)
+    elif stepper.gamma is not None:
+        rhs += _apply_nodes(stepper.gamma, f_x, f_x)
     return g.to_coefficients(rhs, axis=0)
+
+
+def _non_maxwellian_datum(b, grid):
+    """A datum with a non-Maxwellian velocity profile, where Gamma(f, f)
+    does not vanish, and both field terms act; at amplitude 0.1 the
+    beyond-linear field phi - solve_field(n) = O(phi^2) stands well above
+    the round-off of its cancellation, eps |phi|."""
+    h = np.random.default_rng(8).standard_normal(b.n) * b.sqrt_maxwell
+    bump = (1.0 + grid.x ** 2) ** -1.0
+    return 0.1 * (np.outer(bump, b.invariants[0])
+                  + np.outer(np.roll(bump, 9), h))
 
 
 @pytest.mark.parametrize("with_gamma", [True, False])
 def test_quadratic_rhs_matches_composed_terms(gamma32, cache_dir, grid,
                                               with_gamma):
-    # a datum with a non-Maxwellian velocity profile, where Gamma(f, f)
-    # does not vanish, and both field terms act; at amplitude 0.1 the
-    # beyond-linear field phi - solve_field(n) = O(phi^2) stands well
-    # above the round-off of its cancellation, eps |phi|
     b, gamma = gamma32
     op = collision.CollisionOperator(b, cache_dir=cache_dir)
     stepper = NonlinearStepper(op, grid, 0.1,
                                gamma=gamma if with_gamma else None)
-    h = np.random.default_rng(8).standard_normal(b.n) * b.sqrt_maxwell
-    bump = (1.0 + grid.x ** 2) ** -1.0
-    f_x = 0.1 * (np.outer(bump, b.invariants[0])
-                  + np.outer(np.roll(bump, 9), h))
-    coef = grid.to_coefficients(f_x, axis=0)
+    coef = grid.to_coefficients(_non_maxwellian_datum(b, grid), axis=0)
     want = _quadratic_rhs_composed(stepper, coef)
-    got = stepper._quadratic_rhs(coef)
+    perm = b.reflection
+    got = spectral.from_real_form(
+        stepper._quadratic_rhs(spectral.to_real_form(coef, perm, axis=1)),
+        perm, axis=1)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_step_matches_node_composition(gamma32, cache_dir, grid):
+    # the stepper runs in the real form's coordinates; one full step with
+    # Gamma and both field terms against the same Strang step composed in
+    # node coordinates: SciPy's expm of B(eta) dt/2 per mode around the
+    # midpoint stage of the composed terms, Gamma from the dense tensor
+    b, gamma = gamma32
+    op = collision.CollisionOperator(b, cache_dir=cache_dir)
+    dt = 0.1
+    stepper = NonlinearStepper(op, grid, dt, gamma=gamma)
+    coef = grid.to_coefficients(_non_maxwellian_datum(b, grid), axis=0)
+    half = np.stack([scipy.linalg.expm(spectral.mode_matrix(op, eta) * dt / 2)
+                     for eta in grid.eta])
+
+    def rhs(c):
+        return _quadratic_rhs_composed(stepper, c, dense=True)
+
+    c = np.einsum("kij,kj->ki", half, coef)
+    c = c + dt * rhs(c + 0.5 * dt * rhs(c))
+    want = np.einsum("kij,kj->ki", half, c)
+    state = KineticState(spectral.to_real_form(coef, b.reflection, axis=1),
+                         b.reflection, 0.0)
+    got = stepper.step(state).coef
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_gamma_pair_matrix(gamma32, rng):
     b, gamma = gamma32
-    Q = gamma.pairs
+    Q = spectral._to_pairs(np.eye(b.n), gamma.perm)
     assert np.abs(Q.T @ Q - np.eye(b.n)).max() <= 4e-16
     x = rng.standard_normal((50, b.n))
     # one GEMM sums x_i/sqrt2 + x_Pi/sqrt2 where _to_pairs divides
     # (x_i + x_Pi) by sqrt2: equal to round-off, not bit for bit
     eps = np.finfo(float).eps
-    assert np.abs(x @ Q - nonlinear._to_pairs(x, b.reflection)).max() \
+    assert np.abs(x @ Q - spectral._to_pairs(x, b.reflection)).max() \
         <= 2 * eps * np.abs(x).max()
     c = x @ Q
-    assert np.abs(c @ Q.T - nonlinear._from_pairs(c, b.reflection)).max() \
+    assert np.abs(c @ Q.T - spectral._from_pairs(c, b.reflection)).max() \
         <= 2 * eps * np.abs(c).max()
 
 
@@ -447,8 +493,8 @@ def test_gamma_reflection_equivariant(gamma32):
     fP, gP = f[..., P], g[..., P]
     # both the f != g path and the f is g path
     for (x, y), (xP, yP) in (((f, g), (fP, gP)), ((f, f), (fP, fP))):
-        want = apply_gamma(gamma, x, y)[..., P]
-        got = apply_gamma(gamma, xP, yP)
+        want = _apply_nodes(gamma, x, y)[..., P]
+        got = _apply_nodes(gamma, xP, yP)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     T = gamma.tensor
     assert np.array_equal(T[P][:, P][:, :, P], T)
@@ -565,7 +611,7 @@ def test_gamma_chunk_budget_not_dividing_node_points(monkeypatch):
 def test_gamma_worker_error_propagates(tmp_path, monkeypatch):
     b = VelocityBasis(8, 4, 8.0, 0)
     node_rows = nonlinear._gamma_node_rows
-    swept = np.concatenate(nonlinear._mirror_pairs(b.reflection))
+    swept = np.concatenate(spectral._mirror_pairs(b.reflection))
 
     def fails_at_third_node(basis, quad, i):
         if i == swept[2]:
@@ -630,8 +676,8 @@ def _dense_blocks(b):
     r = np.einsum("ijk,j,k->i", T, e, e)
     T -= np.einsum("i,j,k->ijk", r, ew, ew)
     for axis in range(3):
-        T = nonlinear._to_pairs(T, b.reflection, axis)
-    ne = b.n - len(nonlinear._mirror_pairs(b.reflection)[0])
+        T = spectral._to_pairs(T, b.reflection, axis)
+    ne = b.n - len(spectral._mirror_pairs(b.reflection)[0])
     E, O = slice(None, ne), slice(ne, None)
     return [T[i, j, k].transpose(1, 0, 2)
             for i, j, k in ((E, E, E), (E, O, O), (O, E, O))]
@@ -664,7 +710,7 @@ def test_gamma_odd_n1_half_sweep_matches_full_sweep():
     gs = rng.standard_normal((5, b.n))
     direct = gamma_direct(b, fs, gs)
     scale = np.linalg.norm(fs, axis=1) * np.linalg.norm(gs, axis=1)
-    err = np.abs(apply_gamma(gamma, fs, gs) - direct).max(axis=1) / scale
+    err = np.abs(_apply_nodes(gamma, fs, gs) - direct).max(axis=1) / scale
     assert err.max() <= 1e-6
 
 
@@ -676,13 +722,13 @@ def test_gamma_tensor_matches_direct_quadrature(tmp_path, gamma32):
     fs = rng.standard_normal((3, b.n))
     gs = rng.standard_normal((3, b.n))
     direct = gamma_direct(b, fs, gs)
-    tens = apply_gamma(gamma, fs, gs)
+    tens = _apply_nodes(gamma, fs, gs)
     assert np.abs(tens - direct).max() <= 1e-10 * np.abs(direct).max()
     # f is g, the stepper's call, at n = 32 within criterion 11's bound
     # (criterion 11 checks it at n = 128)
     b, gamma = gamma32
     fs = rng.standard_normal((3, b.n))
-    err = np.abs(apply_gamma(gamma, fs, fs) - gamma_direct(b, fs, fs))
+    err = np.abs(_apply_nodes(gamma, fs, fs) - gamma_direct(b, fs, fs))
     assert (err.max(axis=1) / np.linalg.norm(fs, axis=1) ** 2).max() <= 1e-6
 
 

@@ -365,6 +365,36 @@ def test_real_mode_matrices_same_bits_as_real_form(n1, nr, cache_dir):
                                                  b.reflection))
 
 
+@pytest.mark.parametrize("n1, nr", [(16, 8), (5, 2)])
+def test_real_mode_matrices_block_structure(n1, nr, cache_dir):
+    # in pair coordinates the EE and OO blocks are the eta-free part of L,
+    # copied bit for bit, and the coupling blocks are linear in eta, plus
+    # the field term in sector 0; n1 = 5 has nodes that P fixes
+    from mvpb.collision import CollisionOperator
+    etas = np.array([1.0, 0.0, 0.3, -0.7, 3.0])
+    eps = np.finfo(float).eps
+    for b in basis_pair(n1, nr):
+        op = CollisionOperator(b, cache_dir=cache_dir)
+        ne = b.n - len(spectral._mirror_pairs(b.reflection)[0])
+        E, O = slice(None, ne), slice(ne, None)
+        assert not op.Lmat_pairs[E, O].any()
+        assert not op.Lmat_pairs[O, E].any()
+        R = spectral.real_mode_matrices(op, etas)
+        for Rk in R:
+            assert np.array_equal(Rk[E, E], op.Lmat_pairs[E, E])
+            assert np.array_equal(Rk[O, O], op.Lmat_pairs[O, O])
+        if b.sector == 1:
+            for eta, Rk in zip(etas, R):
+                for s in ((E, O), (O, E)):
+                    assert np.abs(Rk[s] - eta * R[0][s]).max() \
+                        <= 4 * eps * abs(eta) * np.abs(R[0][s]).max()
+        # and the whole of R(eta), field term included, is W* B(eta) W
+        W = _unitary(b)
+        for eta, Rk in zip(etas, R):
+            ref = W.conj().T @ spectral.mode_matrix(op, eta) @ W
+            assert np.abs(Rk - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("ts", [[0.0, 1.0, 2.0, 4.0], [0.5, 1.0, np.sqrt(2.0)]])
 def test_propagate_stack_same_bits_as_single(ops16, rng, ts):
     b = ops16[0].basis
@@ -396,8 +426,17 @@ def test_package_has_no_scipy_expm():
 # --------------------------------------------------------------------- #
 
 def _unitary(basis):
-    P = np.eye(basis.n)[basis.reflection]
-    return (np.eye(basis.n) - 1j * P) / np.sqrt(2.0)
+    """W = Q D with R = W* B W: the columns of Q are (e_i + e_Pi)/sqrt2 for
+    each mirror pair i < P[i], then e_i for each node P fixes, then
+    (e_i - e_Pi)/sqrt2 for each pair, and D is 1 on the even columns and
+    i on the odd ones."""
+    P, I = basis.reflection, np.eye(basis.n)
+    lo = [i for i in range(basis.n) if i < P[i]]
+    fix = [i for i in range(basis.n) if i == P[i]]
+    cols = ([(I[i] + I[P[i]]) / np.sqrt(2.0) for i in lo]
+            + [I[i] for i in fix]
+            + [1j * (I[i] - I[P[i]]) / np.sqrt(2.0) for i in lo])
+    return np.array(cols).T
 
 
 def test_reflection_mirrors_v1(bases24):
