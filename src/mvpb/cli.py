@@ -6,8 +6,9 @@ mode blocks of the kinetic waves, of green_action and of the nonlinear
 stepper's propagators use more than one thread, see spectral.eig_workers)
 and writes its outputs plus a manifest into the output directory.  Exit
 codes: 0 success, 2 invalid configuration, 3 numerical failure (a
-manifest is still written in that case, flagged as partial).  The cache directory for expensive kernels and
-tensors is taken from the MVPB_CACHE environment variable.
+manifest is still written in that case, flagged as partial).  The cache
+directory for expensive kernels and tensors is taken from the MVPB_CACHE
+environment variable.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .manifest import RunManifest, load_manifest, write_csv
 from .moments import (NSPEvolver, kinetic_moment_trajectory,
                       nsp_acoustic_speeds, nsp_damping_coefficients)
 from .nonlinear import build_gamma, decay_study
-from .spectral import blas_threads, eig_workers, eigen_branches
+from .spectral import (blas_threads, eig_workers, eigen_branches,
+                       one_blas_thread)
 from .velocity import VelocityBasis
 
 NUMERICAL_ERRORS = (BranchSwap, NoConvergence, Instability, CFLViolation,
@@ -344,6 +346,7 @@ def main(argv=None):
 
     os.makedirs(cfg.out, exist_ok=True)
     man = RunManifest(cfg, cfg.out)
+    man.timings["blas_layout"] = one_blas_thread()
     caught = []
     try:
         # the warnings the caller's filters let through are recorded, then

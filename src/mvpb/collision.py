@@ -258,10 +258,13 @@ class CollisionOperator:
 
     @cached_property
     def Lmat_pairs(self):
-        """Q^T Lmat Q less its EO and OE blocks (round-off), formed on first
-        use: the eta-free part of each R(eta) (spectral imports this module)."""
-        from .spectral import real_form
-        return real_form(self.Lmat, self.basis.reflection)
+        """Q^T Lmat Q with its EO and OE blocks (round-off) zeroed, formed on
+        first use: the eta-free part of each R(eta) (spectral.real_form)."""
+        b = self.basis
+        R = b.pair_matrix(self.Lmat)
+        R[:b.ne, b.ne:] = 0.0
+        R[b.ne:, :b.ne] = 0.0
+        return R
 
     # ------------------------------------------------------------------ #
 

@@ -111,16 +111,15 @@ def green_action(op: CollisionOperator, grid: SpaceGrid, seeds, ts,
     seeds = np.atleast_2d(np.asarray(seeds, dtype=complex))
     ts = np.asarray(ts, dtype=float)
     ns, n = seeds.shape
-    perm = op.basis.reflection
     datum = grid.delta_coefficients() if datum is None else datum
     active = np.abs(datum) > 1e-14 * np.abs(datum).max()
-    Z = to_real_form(seeds.T, perm)
+    Z = to_real_form(seeds.T, op.basis)
     out = np.zeros((ns, len(ts), grid.nh, n), dtype=complex)
 
     def block(modes):
         Br = real_mode_matrices(op, grid.eta[modes])
         Y = propagate(Br, np.broadcast_to(Z, (len(modes),) + Z.shape), ts)
-        Y = from_real_form(Y, perm, axis=2)              # (nt, k, n, ns)
+        Y = from_real_form(Y, op.basis, axis=2)          # (nt, k, n, ns)
         out[:, :, modes, :] = Y.transpose(3, 0, 1, 2) * datum[modes, None]
 
     on_workers(block, mode_blocks(np.flatnonzero(active), n))

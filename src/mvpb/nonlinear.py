@@ -21,10 +21,8 @@ from .collision import CollisionOperator, cache_path, load_array, store_array
 from .errors import CFLViolation, Instability, MemoryBudget, NoConvergence
 from .green import SpaceGrid, linear_log_fit
 from .moments import CFL, apply_v1_derivative, solve_field
-from .spectral import (SQRT2, _from_pairs, _mirror_pairs, _odd_phase,
-                       _pair_matrix, _to_pairs, expm, from_real_form,
-                       mode_blocks, on_workers, real_mode_matrices,
-                       to_real_form)
+from .spectral import (expm, from_real_form, mode_blocks, on_workers,
+                       real_mode_matrices, to_real_form)
 # not called here: perfbench/tracer.py wraps mvpb.nonlinear.mode_matrix
 from .spectral import mode_matrix  # noqa: F401
 from .velocity import VelocityBasis, macro_speeds
@@ -260,16 +258,16 @@ def _invariant_cleanup(basis: VelocityBasis, arr):
 class GammaTensor:
     """Bilinear collision tensor in the pair basis of the reflection.
 
-    In the pair coordinates of spectral._to_pairs (ne even, no odd) only
-    the blocks with an even number of odd indices survive: EEE, EOO, OEO
-    and OOE, the last the transpose of OEO in its two input axes.  blocks
+    In the pair coordinates of basis.to_pairs (ne even, no odd) only the
+    blocks with an even number of odd indices survive: EEE, EOO, OEO and
+    OOE, the last the transpose of OEO in its two input axes.  blocks
     holds EEE, EOO and OEO, ne^3 + 2 ne no^2 entries (3/8 of n^3 for even
     n1), each input-major: X[b, a, c] for output coordinate a and input
     pair (b, c), so that the first argument contracts in one GEMM.
     """
 
     blocks: tuple               # (ne, ne, ne), (no, ne, no), (ne, no, no)
-    perm: np.ndarray            # the reflection v1 -> -v1 of the nodes
+    basis: VelocityBasis        # the grid, and with it the pair layout
     tag: tuple
     build_seconds: float = 0.0  # 0.0 when loaded from the cache
     apply_workers: int = 0      # threads of the latest apply_gamma call
@@ -280,24 +278,19 @@ class GammaTensor:
         exactly invariant under (P, P, P)."""
         eee, eoo, oeo = (X.transpose(1, 0, 2) for X in self.blocks)
         E, O = slice(None, len(eee)), slice(len(eee), None)
-        T = np.zeros((len(self.perm),) * 3)
+        T = np.zeros((self.basis.n,) * 3)
         T[E, E, E], T[E, O, O], T[O, E, O] = eee, eoo, oeo
         T[O, O, E] = oeo.transpose(0, 2, 1)
         for axis in range(3):
-            T = _from_pairs(T, self.perm, axis)
+            T = self.basis.from_pairs(T, axis)
         return T
 
 
-def _block_shapes(perm):
-    """Shapes of GammaTensor.blocks (EEE, EOO, OEO) for the reflection perm."""
-    no = len(_mirror_pairs(perm)[0])
-    ne = len(perm) - no
-    return (ne, ne, ne), (no, ne, no), (ne, no, no)
-
-
-def _split_blocks(flat, perm):
-    """GammaTensor.blocks as views of flat, which holds them in order."""
-    shapes = _block_shapes(perm)
+def _split_blocks(flat, basis):
+    """GammaTensor.blocks (EEE, EOO, OEO) as views of flat, which holds
+    them in order."""
+    ne, no = basis.ne, basis.n - basis.ne
+    shapes = (ne, ne, ne), (no, ne, no), (ne, no, no)
     ends = np.cumsum([np.prod(s) for s in shapes])
     return tuple(p.reshape(s)
                  for p, s in zip(np.split(flat, ends[:-1]), shapes))
@@ -309,7 +302,7 @@ def _gamma_blocks(basis: VelocityBasis, flat):
     Node i's row of the node tensor is M = (G + G^T)/2 for its gain row G,
     less half its loss row on row i and on column i.  spectral.on_workers
     (the GEMMs release the GIL) sweeps one node of each mirror pair
-    i < P[i], then the nodes P fixes (_mirror_pairs), one per task, so the
+    i < P[i], then the nodes P fixes (basis.fixed), one per task, so the
     task index is the even output coordinate; each task writes its own
     row's block slices, so the blocks are the same bits on any worker
     count.
@@ -322,9 +315,8 @@ def _gamma_blocks(basis: VelocityBasis, flat):
     so the invariant cleanup is block-diagonal; the equilibrium is even, so
     the rank-one correction touches EEE only.
     """
-    perm = basis.reflection
     quad = _gamma_quadrature(basis)
-    eee, eoo, oeo = blocks = _split_blocks(flat, perm)
+    eee, eoo, oeo = blocks = _split_blocks(flat, basis)
     ne, npair = len(eee), oeo.shape[1]
     E, O = slice(None, ne), slice(ne, None)
     # All square-root-Maxwellian factors reduce in closed form: with
@@ -333,7 +325,7 @@ def _gamma_blocks(basis: VelocityBasis, flat):
     # (detailed balance), and the loss terms carry the same sqrtM(v*).
     # Only f and g themselves are interpolated, which keeps the tensor
     # entries O(1) and the apply path well conditioned.
-    swept = np.concatenate(_mirror_pairs(perm))
+    swept = np.concatenate([basis.pair_lo, basis.fixed])
 
     def sweep(a):
         i = swept[a]
@@ -341,16 +333,16 @@ def _gamma_blocks(basis: VelocityBasis, flat):
         M = 0.5 * (gain + gain.T)
         M[:, i] -= 0.5 * loss
         M[i, :] -= 0.5 * loss
-        X = _pair_matrix(M, perm)
+        X = basis.pair_matrix(M)
         if a < npair:
-            X *= SQRT2
+            X *= np.sqrt(2.0)
             oeo[:, a, :] = X[E, O]
         eee[:, a, :], eoo[:, a, :] = X[E, E], X[O, O]
 
     on_workers(sweep, range(len(swept)))
     # _invariant_cleanup on the output axis: I - chi^T (chi w) in pairs
-    chi = _to_pairs(basis.invariants, perm)
-    chi_w = _to_pairs(basis.invariants * basis.w, perm)
+    chi = basis.to_pairs(basis.invariants)
+    chi_w = basis.to_pairs(basis.invariants * basis.w)
     for X, s in zip(blocks, (E, E, O)):
         for Xb in X:
             Xb -= chi[:, s].T @ (chi_w[:, s] @ Xb)
@@ -389,13 +381,13 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
     # nodes or the stored layout
     tag = (basis.n1, basis.nr, basis.vmax, PHI_STAR_NODES,
            OMEGA_THETA_NODES, OMEGA_PHI_NODES, 6)
-    perm = basis.reflection
-    size = sum(int(np.prod(s)) for s in _block_shapes(perm))
+    ne, no = basis.ne, basis.n - basis.ne
+    size = ne ** 3 + 2 * ne * no ** 2
     path = cache_path(cache_dir, "gamma", tag[:3]) if cache_dir else None
     if path:
         flat = load_array(path, tag, (size,))
         if flat is not None:
-            return GammaTensor(_split_blocks(flat, perm), perm, tag)
+            return GammaTensor(_split_blocks(flat, basis), basis, tag)
 
     t_start = time.perf_counter()
     flat = np.empty(size)
@@ -403,7 +395,7 @@ def build_gamma(basis: VelocityBasis, cache_dir=None):
     built = time.perf_counter() - t_start
     if path:
         store_array(path, tag, flat)
-    return GammaTensor(blocks, perm, tag, built)
+    return GammaTensor(blocks, basis, tag, built)
 
 
 #: rows of one apply chunk (see apply_gamma)
@@ -441,7 +433,7 @@ def _apply_pairs(blocks, cf, cg, out):
 
 def apply_gamma(gamma: GammaTensor, f, g):
     """Symmetric bilinear application on (..., n) fields in pair
-    coordinates (spectral._to_pairs), returned in them: each parity block
+    coordinates (VelocityBasis.to_pairs), returned in them: each parity block
     contracts in one GEMM and one batched mat-vec per row chunk, in place.
 
     A chunk has GAMMA_APPLY_ROWS rows.  At small n that keeps each block
@@ -590,16 +582,10 @@ def field_time_derivative(grid: SpaceGrid, phi, dn_dt):
 @dataclass
 class KineticState:
     """Sector-0 perturbation in mixed representation (frequency x nodes),
-    held in R(eta)'s coordinates (spectral.to_real_form with perm)."""
+    held in R(eta)'s coordinates (spectral.to_real_form)."""
 
     real_coef: np.ndarray       # (nh, n) complex, non-negative modes
-    perm: np.ndarray
     t: float
-
-    @property
-    def coef(self):
-        """(nh, n) complex node coefficients, derived when read."""
-        return from_real_form(self.real_coef, self.perm, axis=1)
 
 
 class NonlinearStepper:
@@ -630,17 +616,16 @@ class NonlinearStepper:
         self.gamma = gamma
         self.field_terms = field_terms
         self.b = b = op.basis
-        perm = b.reflection
         self.mass_w = b.invariants[0] * b.w
         self._dv_min = np.min(np.diff(np.unique(np.round(b.v1, 12))))
         #: d/dv1 on node rows: f @ dv1 == apply_v1_derivative(b, f)
         self.dv1 = apply_v1_derivative(b, np.eye(b.n))
         # in pair coordinates; f @ advect is 1/2 v1 f - d/dv1 f on rows
-        self._mass_w = _to_pairs(self.mass_w, perm)
-        self._v1chi0 = _to_pairs(b.v1 * b.invariants[0], perm)
-        self._advect = _pair_matrix(0.5 * np.diag(b.v1) - self.dv1, perm)
+        self._mass_w = b.to_pairs(self.mass_w)
+        self._v1chi0 = b.to_pairs(b.v1 * b.invariants[0])
+        self._advect = b.pair_matrix(0.5 * np.diag(b.v1) - self.dv1)
         # (-1)^k (x) D: SpaceGrid's sign on mode k, then D
-        self._phase = np.outer(grid._sign, _odd_phase(perm))
+        self._phase = np.outer(grid._sign, b.phase)
         # symbols of d_x and of d_x (I - d_xx)^{-1}
         self._ddx = 1j * grid.eta
         self._ddx_lin = self._ddx / (1.0 + grid.eta ** 2)
@@ -700,7 +685,7 @@ class NonlinearStepper:
         y = self._half_linear(y)
         if not np.isfinite(np.abs(y).max()):
             raise Instability("non-finite state at t=%g" % (state.t + self.dt))
-        return KineticState(y, state.perm, state.t + self.dt)
+        return KineticState(y, state.t + self.dt)
 
 
 # ---------------------------------------------------------------------- #
@@ -720,16 +705,15 @@ def initial_state(op: CollisionOperator, grid: SpaceGrid, delta0=1e-3,
     """Localized small initial datum delta0 (1+x^2)^{-gamma0} chi0(v)."""
     bump = delta0 * (1.0 + grid.x ** 2) ** (-gamma0)
     f_x = np.outer(bump, op.basis.invariants[0])
-    perm = op.basis.reflection
     return KineticState(to_real_form(grid.to_coefficients(f_x, axis=0),
-                                     perm, axis=1), perm, 0.0)
+                                     op.basis, axis=1), 0.0)
 
 
 def state_diagnostics(stepper: NonlinearStepper, state: KineticState):
     """Pointwise sup norms and profile-normalized ratios at one time."""
     b = stepper.b
     g = stepper.grid
-    f_x = g.to_physical(state.coef, axis=0)
+    f_x = g.to_physical(from_real_form(state.real_coef, b, axis=1), axis=0)
     sup_f = b.weighted_sup_norm(f_x, 3)                    # L^inf_{v,3}
     sup_dvf = b.weighted_sup_norm(f_x @ stepper.dv1, 2)
     phi = poisson_newton(g, f_x @ stepper.mass_w)

@@ -11,16 +11,16 @@ sector 0).
 B(eta) has a reflection symmetry.  The reflection P: v1 -> -v1 maps the
 velocity nodes and weights onto themselves exactly; it commutes with L (to
 round-off, see real_mode_matrices), anticommutes with v1, and leaves chi0
-even.  In its orthonormal pair basis Q (_to_pairs), the one basis of the
-package, L is block diagonal and the eta-terms block off-diagonal, so
-R(eta) = D* Q^T B(eta) Q D is real for D = 1 on even and i on odd
-coordinates.  The branch eigensolves, the spectral-gap and zero-mode
-scans, the semigroup split, green.green_action and the nonlinear stepper
-run on R in real arithmetic, with vectors mapped through Q D at O(n)
-cost; the collision tensor (nonlinear.build_gamma) is stored in Q's
-coordinates.  This module provides
+even.  In its orthonormal pair basis Q and with the phase D, both owned
+by velocity.VelocityBasis, the one basis of the package, L is block
+diagonal and the eta-terms block off-diagonal, so R(eta) = D* Q^T B(eta)
+Q D is real for D = 1 on even and i on odd coordinates.  The branch
+eigensolves, the spectral-gap and zero-mode scans, the semigroup split,
+green.green_action and the nonlinear stepper run on R in real
+arithmetic, with vectors mapped through Q D at O(n) cost; the collision
+tensor (nonlinear.build_gamma) is stored in Q's coordinates.  This module provides
 
-* the pair basis; dense assembly of B(eta), and of R for a block of etas;
+* dense assembly of B(eta), and of R for a block of etas;
 * the matrix exponential (numpy Pade-13, one matrix or a stack) and the
   propagator exp(t B(eta)) X at a set of sample times, from one matrix
   exponential on the lattice of those times, with the blocks of modes
@@ -40,6 +40,7 @@ coordinates.  This module provides
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from collections import deque
@@ -54,7 +55,6 @@ from .collision import CollisionOperator, branch_mixing
 from .errors import BranchSwap, IllConditioned, NoConvergence
 from .velocity import macro_eigenvectors, macro_speeds
 
-SQRT2 = np.sqrt(2.0)
 #: smallest eigenvector overlap accepted as the same branch between steps
 BRANCH_OVERLAP_MIN = 0.9
 #: the branch fit uses eta up to this fraction of the continued range
@@ -76,62 +76,21 @@ def mode_matrix(op: CollisionOperator, eta):
     return B
 
 
-def _mirror_pairs(perm):
-    """(lo, fix): node i of each mirror pair i < P[i], and nodes with P[i] = i."""
-    idx = np.arange(len(perm))
-    return idx[idx < perm], idx[idx == perm]
-
-
-def _to_pairs(x, perm, axis=-1):
-    """Q^T x along axis: [even | odd] coordinates, e = (x_i + x_Pi)/sqrt2
-    for each pair i < P[i], then e = x_i for each node with P[i] = i, then
-    o = (x_i - x_Pi)/sqrt2 for each pair."""
-    lo, fix = _mirror_pairs(perm)
-    a = np.take(x, lo, axis=axis)
-    b = np.take(x, perm[lo], axis=axis)
-    return np.concatenate([(a + b) / SQRT2, np.take(x, fix, axis=axis),
-                           (a - b) / SQRT2], axis=axis)
-
-
-def _from_pairs(c, perm, axis=-1):
-    """Q c along axis: node vectors from their pair coordinates."""
-    lo, fix = _mirror_pairs(perm)
-    npair, ne = len(lo), len(lo) + len(fix)
-    out = np.empty_like(c)
-    src, dst = np.moveaxis(c, axis, 0), np.moveaxis(out, axis, 0)
-    dst[lo] = (src[:npair] + src[ne:]) / SQRT2
-    dst[perm[lo]] = (src[:npair] - src[ne:]) / SQRT2
-    dst[fix] = src[npair:ne]
-    return out
-
-
-def _odd_phase(perm):
-    """The diagonal of D: 1 on the even pair coordinates, i on the odd."""
-    d = np.ones(len(perm), dtype=complex)
-    d[len(perm) - len(_mirror_pairs(perm)[0]):] = 1j
-    return d
-
-
-def _pair_matrix(X, perm):
-    """Q^T X Q for an (n, n) matrix or a stack (..., n, n)."""
-    return _to_pairs(_to_pairs(X, perm, -2), perm, -1)
-
-
-def _with_coupling(R, im, perm):
+def _with_coupling(R, im, basis):
     """R, in place, with the EO and OE blocks -(Q^T im Q)_EO, (Q^T im Q)_OE."""
-    I = _pair_matrix(im, perm)
-    ne = len(perm) - len(_mirror_pairs(perm)[0])
+    I = basis.pair_matrix(im)
+    ne = basis.ne
     R[..., :ne, ne:] = -I[..., :ne, ne:]
     R[..., ne:, :ne] = I[..., ne:, :ne]
     return R
 
 
-def real_form(B, perm):
+def real_form(B, basis):
     """R = D* Q^T B Q D for conj(B) = P B P, whose Q^T B Q has a block
     diagonal real and block off-diagonal imaginary part up to round-off.
     The branch continuation forms R from mode_matrix, which
     perfbench/tracer.py counts; real_mode_matrices gives the same bits."""
-    return _with_coupling(_pair_matrix(B.real, perm), B.imag, perm)
+    return _with_coupling(basis.pair_matrix(B.real), B.imag, basis)
 
 
 def real_mode_matrices(op: CollisionOperator, etas):
@@ -152,19 +111,19 @@ def real_mode_matrices(op: CollisionOperator, etas):
     diag = np.arange(b.n)
     im[:, diag, diag] -= etas[:, None] * b.v1
     R = np.repeat(op.Lmat_pairs[None], len(etas), axis=0)
-    return _with_coupling(R, im, b.reflection)
+    return _with_coupling(R, im, b)
 
 
-def to_real_form(X, perm, axis=0):
+def to_real_form(X, basis, axis=0):
     """D* Q^T X for velocity vectors along axis: into the coordinates of R."""
-    c = np.moveaxis(_to_pairs(X, perm, axis), axis, -1)
-    return np.moveaxis(c * _odd_phase(perm).conj(), -1, axis)
+    c = np.moveaxis(basis.to_pairs(X, axis), axis, -1)
+    return np.moveaxis(c * basis.phase.conj(), -1, axis)
 
 
-def from_real_form(Y, perm, axis=0):
+def from_real_form(Y, basis, axis=0):
     """Q D Y for velocity vectors along axis: back from the coordinates of R."""
-    c = np.moveaxis(np.moveaxis(Y, axis, -1) * _odd_phase(perm), -1, axis)
-    return _from_pairs(c, perm, axis)
+    c = np.moveaxis(np.moveaxis(Y, axis, -1) * basis.phase, -1, axis)
+    return basis.from_pairs(c, axis)
 
 
 # ---------------------------------------------------------------------- #
@@ -408,6 +367,40 @@ def eig_workers():
     return max(1, cpus // (cpus if k is None else k))
 
 
+def one_blas_thread():
+    """One BLAS thread, and so eig_workers() over every CPU, unless a
+    BLAS_THREAD_VARS entry is set ("environment" is returned).
+
+    BLAS reads the variable only when loaded, so each OpenBLAS copy in
+    /proc/self/maps is set through its own setter, then the variable is
+    set for eig_workers(): "set by mvpb".  "unchanged", with nothing
+    changed, when the libraries cannot be listed or one has no setter.  A
+    later call in the process finds the variable and says "environment".
+    """
+    if any(var in os.environ for var in BLAS_THREAD_VARS):
+        return "environment"
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {ln.split()[-1] for ln in fh if "openblas" in ln}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return "unchanged"
+    setters = []
+    for lib in libs:
+        names = [name for name in ("scipy_openblas_set_num_threads64_",
+                                   "scipy_openblas_set_num_threads")
+                 if hasattr(lib, name)]
+        if not names:
+            return "unchanged"
+        set_threads = getattr(lib, names[0])
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        setters.append(set_threads)
+    for set_threads in setters:
+        set_threads(1)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    return "set by mvpb"
+
+
 def _eig(B):
     """Eigenvalues and right eigenvectors of a dense matrix, as complex arrays.
 
@@ -499,8 +492,7 @@ def eigen_branches_at(op: CollisionOperator, etas):
     last = steps
     prev = psi[:, 0, :]
     workers = eig_workers()
-    matrices = (real_form(mode_matrix(op, eta), b.reflection)
-                for eta in etas[1:])
+    matrices = (real_form(mode_matrix(op, eta), b) for eta in etas[1:])
     with ThreadPoolExecutor(workers) as pool:
         solves = deque(pool.submit(_eig, B) for B in islice(matrices, workers))
         try:
@@ -514,7 +506,7 @@ def eigen_branches_at(op: CollisionOperator, etas):
                     r0_hat = etas[i - 1]
                     last = i
                     break
-                Vf = from_real_form(Vr[:, fluid], b.reflection)
+                Vf = from_real_form(Vr[:, fluid], b)
                 # conjugating overlap in the plain weighted pairing
                 ov = np.abs(np.conj(prev) * b.w @ Vf)
                 ov /= np.outer(b.norm(prev), b.norm(Vf.T))
@@ -788,18 +780,17 @@ def semigroup_split(op: CollisionOperator, eta, ts, r0_hat):
     """
     b = op.basis
     mu_hat = op.micro_gap()
-    perm = b.reflection
     Br = real_mode_matrices(op, [eta])[0]
     ts = np.asarray(ts, dtype=float)
     # exp(t B) = W exp(t R) W*, W = Q D, applied to the identity
-    S = from_real_form(
-        propagate(Br, to_real_form(np.eye(b.n), perm), ts), perm, axis=1)
+    S = from_real_form(propagate(Br, to_real_form(np.eye(b.n), b), ts), b,
+                       axis=1)
     W = b.eta_metric(eta)
     chol = np.linalg.cholesky(W)
     S1, S2, cond = np.zeros_like(S), S.copy(), None
     if abs(eta) <= r0_hat:
         w, Vr = _eig(Br)
-        V = from_real_form(Vr, perm)
+        V = from_real_form(Vr, b)
         WV = W @ V
         c = np.sum(V * WV, axis=0)
         cond = float(np.max(np.linalg.norm(V, axis=0)

@@ -15,6 +15,11 @@ The quadrature weight on the reduced grid absorbs the azimuthal measure:
 w = c_m * vr * (tensor Gauss weight), with c_0 = 2*pi and c_1 = pi, so
 that the discrete bilinear form  sum(f * g * w)  equals the full 3-D
 integral  int f g dv  for same-sector profiles.
+
+The reflection P: v1 -> -v1 maps the nodes and weights onto themselves
+exactly.  Its orthonormal pair basis Q (VelocityBasis.to_pairs), the one
+basis of the package for P, is the layout of spectral's real forms and of
+the collision tensor's parity blocks.
 """
 
 from __future__ import annotations
@@ -119,7 +124,47 @@ class VelocityBasis:
         self.speed = np.sqrt(self.v1 ** 2 + self.vr ** 2)
         self.sqrt_maxwell = np.sqrt(maxwellian(self.v1, self.vr))
 
+        idx = np.arange(self.n)
+        #: node i of each mirror pair i < P[i], its mirror P[i], and the
+        #: nodes P fixes (on v1 = 0, when n1 is odd)
+        self.pair_lo = idx[idx < self.reflection]
+        self.pair_hi = self.reflection[self.pair_lo]
+        self.fixed = idx[idx == self.reflection]
+        #: number of even pair coordinates, the first ne; the rest are odd
+        self.ne = self.n - len(self.pair_lo)
+        #: the diagonal of D: 1 on the even pair coordinates, i on the odd
+        self.phase = np.ones(self.n, dtype=complex)
+        self.phase[self.ne:] = 1j
+
         self._build_invariants()
+
+    # ------------------------------------------------------------------ #
+    # pair basis of the reflection
+    # ------------------------------------------------------------------ #
+
+    def to_pairs(self, x, axis=-1):
+        """Q^T x along axis: [even | odd] coordinates, e = (x_i + x_Pi)/sqrt2
+        for each pair i < P[i], then e = x_i for each node with P[i] = i,
+        then o = (x_i - x_Pi)/sqrt2 for each pair."""
+        a = np.take(x, self.pair_lo, axis=axis)
+        b = np.take(x, self.pair_hi, axis=axis)
+        return np.concatenate([(a + b) / np.sqrt(2.0),
+                               np.take(x, self.fixed, axis=axis),
+                               (a - b) / np.sqrt(2.0)], axis=axis)
+
+    def from_pairs(self, c, axis=-1):
+        """Q c along axis: node vectors from their pair coordinates."""
+        npair = len(self.pair_lo)
+        out = np.empty_like(c)
+        src, dst = np.moveaxis(c, axis, 0), np.moveaxis(out, axis, 0)
+        dst[self.pair_lo] = (src[:npair] + src[self.ne:]) / np.sqrt(2.0)
+        dst[self.pair_hi] = (src[:npair] - src[self.ne:]) / np.sqrt(2.0)
+        dst[self.fixed] = src[npair:self.ne]
+        return out
+
+    def pair_matrix(self, X):
+        """Q^T X Q for an (n, n) matrix or a stack (..., n, n)."""
+        return self.to_pairs(self.to_pairs(X, -2), -1)
 
     # ------------------------------------------------------------------ #
     # invariants and projections

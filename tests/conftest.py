@@ -10,7 +10,6 @@ digests' directories there are removed once a day has passed since they
 last changed.
 """
 
-import ctypes
 import hashlib
 import os
 import re
@@ -19,57 +18,28 @@ import tempfile
 import threading
 import time
 
+import numpy as np
+import pytest
 
-def _one_blas_thread():
-    """Set each OpenBLAS copy loaded in this process to one thread.
+from mvpb import collision, nonlinear, spectral, velocity
+from mvpb.collision import CollisionOperator
+from mvpb.nonlinear import build_gamma
+from mvpb.velocity import basis_pair
 
-    pytest's warning filters (pyproject.toml) name numpy and scipy
-    classes, so both libraries are loaded, and their BLAS has read its
-    thread count, before this file is read.  Returns False, changing
-    nothing, when the loaded libraries cannot be listed or one of them
-    has no thread setter."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {ln.split()[-1] for ln in fh if "openblas" in ln}
-        libs = [ctypes.CDLL(path) for path in sorted(paths)]
-    except OSError:
-        return False
-    setters = []
-    for lib in libs:
-        names = [name for name in ("scipy_openblas_set_num_threads64_",
-                                   "scipy_openblas_set_num_threads")
-                 if hasattr(lib, name)]
-        if not names:
-            return False
-        set_threads = getattr(lib, names[0])
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        setters.append(set_threads)
-    for set_threads in setters:
-        set_threads(1)
-    return True
-
-
-# One BLAS thread, and so a worker pool over every CPU (spectral.
-# eig_workers reads the variable), unless the caller set a BLAS thread
-# variable: on 2 CPUs the cold suite took 142-163 s against 183 s.
-if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS",
-                                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")) \
-        and _one_blas_thread():
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-
-from mvpb import collision, nonlinear  # noqa: E402
-from mvpb.collision import CollisionOperator  # noqa: E402
-from mvpb.nonlinear import build_gamma  # noqa: E402
-from mvpb.velocity import basis_pair  # noqa: E402
+# One BLAS thread, and so a worker pool over every CPU, unless the caller
+# set a BLAS thread variable: on 2 CPUs the cold suite took 142-163 s
+# against 183 s.  pytest's warning filters load numpy's and scipy's BLAS
+# before this file is read, so the variable alone would not do.
+spectral.one_blas_thread()
 
 
 def _build_source_digest():
-    """Short digest of the collision and nonlinear module sources."""
+    """Short digest of the sources the cached kernels and Gamma are built
+    from: the nodes and the pair layout Gamma is stored in (velocity), the
+    kernel (collision), the tensor (nonlinear) and the worker pool its
+    sweep runs on (spectral)."""
     h = hashlib.sha256()
-    for module in (collision, nonlinear):
+    for module in (velocity, collision, spectral, nonlinear):
         with open(module.__file__, "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()[:12]

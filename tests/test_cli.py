@@ -276,7 +276,7 @@ def test_nonlinear_manifest_gamma_cache_miss_then_hit(tmp_path, monkeypatch):
     assert seen[0]["gamma_apply_workers"] == 1
     assert set(seen[1]) == {"gamma_build_s", "gamma_cache",
                             "gamma_apply_workers", "eig_workers",
-                            "blas_threads", "peak_rss_mb"}
+                            "blas_threads", "blas_layout", "peak_rss_mb"}
     assert seen[1]["gamma_build_s"] == 0.0
     assert seen[1]["gamma_cache"] == "hit"
     assert seen[1]["gamma_apply_workers"] == 1

@@ -33,10 +33,15 @@ def grid():
 def _apply_nodes(gamma, f, g):
     """apply_gamma on node fields, through their pair coordinates; g is f
     stays the f is g call."""
-    perm = gamma.perm
-    cf = spectral._to_pairs(np.asarray(f), perm)
-    cg = cf if g is f else spectral._to_pairs(np.asarray(g), perm)
-    return spectral._from_pairs(apply_gamma(gamma, cf, cg), perm)
+    b = gamma.basis
+    cf = b.to_pairs(np.asarray(f))
+    cg = cf if g is f else b.to_pairs(np.asarray(g))
+    return b.from_pairs(apply_gamma(gamma, cf, cg))
+
+
+def _node_coef(stepper, state):
+    """The (nh, n) node coefficients of a state, from R's coordinates."""
+    return spectral.from_real_form(state.real_coef, stepper.b, axis=1)
 
 
 def test_gamma_symmetry(gamma16):
@@ -150,8 +155,8 @@ def test_step_linear_mode_exact(ops16, grid):
     out = stepper.step(state)
     for k in (0, 5, 50, grid.nh - 1):
         P = scipy.linalg.expm(spectral.mode_matrix(op0, grid.eta[k]) * dt)
-        exact = P @ state.coef[k]
-        assert np.max(np.abs(out.coef[k] - exact)) <= 1e-10
+        exact = P @ _node_coef(stepper, state)[k]
+        assert np.max(np.abs(_node_coef(stepper, out)[k] - exact)) <= 1e-10
 
 
 def test_half_step_real_form_matches_expm(ops16, grid):
@@ -164,10 +169,9 @@ def test_half_step_real_form_matches_expm(ops16, grid):
     assert stepper.props.shape == (grid.nh, b.n, b.n)
     coef = rng.standard_normal((grid.nh, b.n)) \
         + 1j * rng.standard_normal((grid.nh, b.n))
-    perm = b.reflection
     out = spectral.from_real_form(
-        stepper._half_linear(spectral.to_real_form(coef, perm, axis=1)),
-        perm, axis=1)
+        stepper._half_linear(spectral.to_real_form(coef, b, axis=1)),
+        b, axis=1)
     for k in (0, 5, 50, grid.nh - 1):
         P = scipy.linalg.expm(spectral.mode_matrix(op0, grid.eta[k]) * dt / 2)
         exact = P @ coef[k]
@@ -214,7 +218,8 @@ def test_step_mass_conservation(ops16, grid, gamma16):
     dt = 0.1
     stepper = NonlinearStepper(op0, grid, dt, gamma=gamma16)
     state = initial_state(op0, grid, delta0=1e-3)
-    mass = lambda st: float(np.real(st.coef[0] @ stepper.mass_w) * 2 * grid.L)
+    mass = lambda st: float(
+        np.real(_node_coef(stepper, st)[0] @ stepper.mass_w) * 2 * grid.L)
     m0 = mass(state)
     for _ in range(10):
         state = stepper.step(state)
@@ -230,8 +235,9 @@ def test_step_state_consistency(ops16, grid, gamma16):
         state = stepper.step(state)
     # the zero mode evolves under a real operator and stays real (the
     # Nyquist bin is allowed a complex phase; only its real part matters)
-    scale = np.abs(state.coef).max()
-    assert np.abs(state.coef[0].imag).max() <= 1e-10 * scale
+    coef = _node_coef(stepper, state)
+    scale = np.abs(coef).max()
+    assert np.abs(coef[0].imag).max() <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("with_gamma, field_terms, solves", [
@@ -296,10 +302,9 @@ def test_quadratic_rhs_matches_composed_terms(gamma32, cache_dir, grid,
                                gamma=gamma if with_gamma else None)
     coef = grid.to_coefficients(_non_maxwellian_datum(b, grid), axis=0)
     want = _quadratic_rhs_composed(stepper, coef)
-    perm = b.reflection
     got = spectral.from_real_form(
-        stepper._quadratic_rhs(spectral.to_real_form(coef, perm, axis=1)),
-        perm, axis=1)
+        stepper._quadratic_rhs(spectral.to_real_form(coef, b, axis=1)),
+        b, axis=1)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -322,24 +327,23 @@ def test_step_matches_node_composition(gamma32, cache_dir, grid):
     c = np.einsum("kij,kj->ki", half, coef)
     c = c + dt * rhs(c + 0.5 * dt * rhs(c))
     want = np.einsum("kij,kj->ki", half, c)
-    state = KineticState(spectral.to_real_form(coef, b.reflection, axis=1),
-                         b.reflection, 0.0)
-    got = stepper.step(state).coef
+    state = KineticState(spectral.to_real_form(coef, b, axis=1), 0.0)
+    got = _node_coef(stepper, stepper.step(state))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_gamma_pair_matrix(gamma32, rng):
     b, gamma = gamma32
-    Q = spectral._to_pairs(np.eye(b.n), gamma.perm)
+    Q = gamma.basis.to_pairs(np.eye(b.n))
     assert np.abs(Q.T @ Q - np.eye(b.n)).max() <= 4e-16
     x = rng.standard_normal((50, b.n))
-    # one GEMM sums x_i/sqrt2 + x_Pi/sqrt2 where _to_pairs divides
+    # one GEMM sums x_i/sqrt2 + x_Pi/sqrt2 where to_pairs divides
     # (x_i + x_Pi) by sqrt2: equal to round-off, not bit for bit
     eps = np.finfo(float).eps
-    assert np.abs(x @ Q - spectral._to_pairs(x, b.reflection)).max() \
+    assert np.abs(x @ Q - b.to_pairs(x)).max() \
         <= 2 * eps * np.abs(x).max()
     c = x @ Q
-    assert np.abs(c @ Q.T - spectral._from_pairs(c, b.reflection)).max() \
+    assert np.abs(c @ Q.T - b.from_pairs(c)).max() \
         <= 2 * eps * np.abs(c).max()
 
 
@@ -354,7 +358,7 @@ def test_step_second_order(ops16, grid, gamma16):
         state = initial_state(op0, grid, delta0=1e-3)
         for _ in range(int(round(t_end / dt))):
             state = stepper.step(state)
-        finals.append(state.coef.copy())
+        finals.append(_node_coef(stepper, state))
     e1 = np.abs(finals[0] - finals[1]).max()
     e2 = np.abs(finals[1] - finals[2]).max()
     assert 3.4 <= e1 / e2 <= 4.6
@@ -462,7 +466,7 @@ def test_gamma_cache_payload_is_three_blocks(tmp_path):
     gamma = _tiny_gamma(tmp_path)
     (path,) = [os.path.join(tmp_path, f) for f in os.listdir(tmp_path)]
     payload = os.path.getsize(path) - len(collision._cache_prefix(gamma.tag))
-    n = len(gamma.perm)
+    n = gamma.basis.n
     assert payload == 8 * (3 * n ** 3 // 8)
 
 
@@ -504,7 +508,7 @@ def test_gamma_reflection_equivariant(gamma32):
 def test_apply_gamma_same_bits_on_any_workers(monkeypatch, gamma16, gamma32,
                                                size):
     gamma = gamma32[1] if size == "n32" else gamma16
-    n = len(gamma.perm)
+    n = gamma.basis.n
     rng = np.random.default_rng(11)
     f = rng.standard_normal((3, 50, n))
     g = rng.standard_normal((50, n))         # broadcast against f
@@ -535,12 +539,12 @@ def test_apply_gamma_threads_large_blocks_only(monkeypatch, gamma16,
                                                gamma32):
     monkeypatch.setattr(spectral, "eig_workers", lambda: 2)
     # n = 32: serial, a second thread does not repay the hand-off
-    f = np.ones((1024, len(gamma32[1].perm)))
+    f = np.ones((1024, gamma32[1].basis.n))
     apply_gamma(gamma32[1], f, f)
     assert gamma32[1].apply_workers == 1
     # n = 128: the block is large enough, given two chunks to share
     for rows, workers in ((1024, 2), (100, 1)):
-        f = np.ones((rows, len(gamma16.perm)))
+        f = np.ones((rows, gamma16.basis.n))
         apply_gamma(gamma16, f, f)
         assert gamma16.apply_workers == workers
 
@@ -560,7 +564,7 @@ def test_apply_gamma_worker_error_propagates(monkeypatch, gamma16):
 
     monkeypatch.setattr(nonlinear, "_apply_pairs", fails_on_second_chunk)
     threads = threading.active_count()
-    f = np.ones((512, len(gamma16.perm)))
+    f = np.ones((512, gamma16.basis.n))
     with pytest.raises(FloatingPointError, match="chunk failed"):
         apply_gamma(gamma16, f, f)
     assert threading.active_count() == threads
@@ -611,7 +615,7 @@ def test_gamma_chunk_budget_not_dividing_node_points(monkeypatch):
 def test_gamma_worker_error_propagates(tmp_path, monkeypatch):
     b = VelocityBasis(8, 4, 8.0, 0)
     node_rows = nonlinear._gamma_node_rows
-    swept = np.concatenate(spectral._mirror_pairs(b.reflection))
+    swept = np.concatenate([b.pair_lo, b.fixed])
 
     def fails_at_third_node(basis, quad, i):
         if i == swept[2]:
@@ -676,9 +680,8 @@ def _dense_blocks(b):
     r = np.einsum("ijk,j,k->i", T, e, e)
     T -= np.einsum("i,j,k->ijk", r, ew, ew)
     for axis in range(3):
-        T = spectral._to_pairs(T, b.reflection, axis)
-    ne = b.n - len(spectral._mirror_pairs(b.reflection)[0])
-    E, O = slice(None, ne), slice(ne, None)
+        T = b.to_pairs(T, axis)
+    E, O = slice(None, b.ne), slice(b.ne, None)
     return [T[i, j, k].transpose(1, 0, 2)
             for i, j, k in ((E, E, E), (E, O, O), (O, E, O))]
 

@@ -357,12 +357,11 @@ def test_real_mode_matrices_same_bits_as_real_form(n1, nr, cache_dir):
         op = CollisionOperator(b, cache_dir=cache_dir)
         block = spectral.real_mode_matrices(op, etas)
         for eta, Br in zip(etas, block):
-            ref = spectral.real_form(spectral.mode_matrix(op, eta),
-                                     b.reflection)
+            ref = spectral.real_form(spectral.mode_matrix(op, eta), b)
             assert np.array_equal(Br, ref)
         assert np.array_equal(spectral.real_mode_matrices(op, [0.3])[0],
                               spectral.real_form(spectral.mode_matrix(op, 0.3),
-                                                 b.reflection))
+                                                 b))
 
 
 @pytest.mark.parametrize("n1, nr", [(16, 8), (5, 2)])
@@ -375,8 +374,7 @@ def test_real_mode_matrices_block_structure(n1, nr, cache_dir):
     eps = np.finfo(float).eps
     for b in basis_pair(n1, nr):
         op = CollisionOperator(b, cache_dir=cache_dir)
-        ne = b.n - len(spectral._mirror_pairs(b.reflection)[0])
-        E, O = slice(None, ne), slice(ne, None)
+        E, O = slice(None, b.ne), slice(b.ne, None)
         assert not op.Lmat_pairs[E, O].any()
         assert not op.Lmat_pairs[O, E].any()
         R = spectral.real_mode_matrices(op, etas)
@@ -454,7 +452,7 @@ def test_real_form_is_unitary_transform(ops24, eta):
     for op in ops24:
         B = spectral.mode_matrix(op, eta)
         U = _unitary(op.basis)
-        Br = spectral.real_form(B, op.basis.reflection)
+        Br = spectral.real_form(B, op.basis)
         assert Br.dtype == np.float64
         ref = U.conj().T @ B @ U
         assert np.max(np.abs(Br - ref)) <= 1e-13 * np.max(np.abs(B))
@@ -465,30 +463,39 @@ def test_real_form_spectrum_matches_complex_eig(ops24, eta):
     for op in ops24:
         B = spectral.mode_matrix(op, eta)
         w = scipy.linalg.eigvals(B)
-        wr = scipy.linalg.eigvals(spectral.real_form(B, op.basis.reflection))
+        wr = scipy.linalg.eigvals(spectral.real_form(B, op.basis))
         dist = np.abs(w[:, None] - wr[None, :])
         rows, cols = scipy.optimize.linear_sum_assignment(dist)
         assert np.max(dist[rows, cols]) <= 1e-10 * np.max(np.abs(w))
 
 
-def test_real_form_maps_round_trip(bases16, rng):
-    b = bases16[0]
+@pytest.mark.parametrize("n1, nr", [(16, 8), (5, 2)])
+def test_real_form_maps_round_trip(n1, nr, rng):
+    # n1 = 5 has a node on v1 = 0, which P fixes
+    b = basis_pair(n1, nr)[0]
     X = rng.standard_normal((b.n, 3)) + 1j * rng.standard_normal((b.n, 3))
     U = _unitary(b)
-    Z = spectral.to_real_form(X, b.reflection)
-    assert np.max(np.abs(Z - U.conj().T @ X)) <= 1e-14 * np.max(np.abs(X))
-    back = spectral.from_real_form(Z, b.reflection)
-    assert np.max(np.abs(back - X)) <= 1e-14 * np.max(np.abs(X))
+    scale = np.max(np.abs(X))
+    # the basis's own maps are Q^T and Q: U = Q D has real even columns
+    # and odd ones i times real
+    Q = U.real + U.imag
+    C = b.to_pairs(X, 0)
+    assert np.max(np.abs(C - Q.T @ X)) <= 1e-14 * scale
+    assert np.max(np.abs(b.from_pairs(C, 0) - Q @ C)) <= 1e-14 * scale
+    Z = spectral.to_real_form(X, b)
+    assert np.max(np.abs(Z - U.conj().T @ X)) <= 1e-14 * scale
+    back = spectral.from_real_form(Z, b)
+    assert np.max(np.abs(back - X)) <= 1e-14 * scale
     # the axis argument acts on the velocity axis of stacked vectors
-    Zt = spectral.to_real_form(X.T, b.reflection, axis=1)
+    Zt = spectral.to_real_form(X.T, b, axis=1)
     assert np.array_equal(Zt, Z.T)
 
 
 def test_eigen_branches_match_complex_oracle(ops16, monkeypatch):
     real = [spectral.eigen_branches(op, eta_max=0.5, steps=33) for op in ops16]
     # complex oracle: the same continuation on a complex eig of mode_matrix
-    monkeypatch.setattr(spectral, "real_form", lambda B, perm: B)
-    monkeypatch.setattr(spectral, "from_real_form", lambda Y, perm: Y)
+    monkeypatch.setattr(spectral, "real_form", lambda B, basis: B)
+    monkeypatch.setattr(spectral, "from_real_form", lambda Y, basis: Y)
     oracle = [spectral.eigen_branches(op, eta_max=0.5, steps=33) for op in ops16]
     for bs, ref in zip(real, oracle):
         assert np.array_equal(bs.labels, ref.labels)
@@ -556,7 +563,7 @@ def test_real_form_branch_pairs_are_exact(ops16):
 @pytest.mark.parametrize("ts", [[1.0, 2.0, 4.0], [0.5, 1.0, np.sqrt(2.0)]])
 def test_propagate_real_matrix_complex_vectors(ops16, rng, ts):
     b = ops16[0].basis
-    Br = spectral.real_form(spectral.mode_matrix(ops16[0], 0.9), b.reflection)
+    Br = spectral.real_form(spectral.mode_matrix(ops16[0], 0.9), b)
     X = rng.standard_normal((b.n, 2)) + 1j * rng.standard_normal((b.n, 2))
     out = spectral.propagate(Br, X, ts)
     assert out.shape == (len(ts),) + X.shape
