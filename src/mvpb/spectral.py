@@ -18,7 +18,8 @@ Q D is real for D = 1 on even and i on odd coordinates.  The branch
 eigensolves, the spectral-gap and zero-mode scans, the semigroup split,
 green.green_action and the nonlinear stepper run on R in real
 arithmetic, with vectors mapped through Q D at O(n) cost; the collision
-tensor (nonlinear.build_gamma) is stored in Q's coordinates.  This module provides
+tensor (nonlinear.build_gamma) is stored in Q's coordinates.  This
+module provides
 
 * dense assembly of B(eta), and of R for a block of etas;
 * the matrix exponential (numpy Pade-13, one matrix or a stack) and the

@@ -26,12 +26,6 @@ from mvpb.collision import CollisionOperator
 from mvpb.nonlinear import build_gamma
 from mvpb.velocity import basis_pair
 
-# One BLAS thread, and so a worker pool over every CPU, unless the caller
-# set a BLAS thread variable: on 2 CPUs the cold suite took 142-163 s
-# against 183 s.  pytest's warning filters load numpy's and scipy's BLAS
-# before this file is read, so the variable alone would not do.
-spectral.one_blas_thread()
-
 
 def _build_source_digest():
     """Short digest of the sources the cached kernels and Gamma are built

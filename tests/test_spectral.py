@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -548,6 +549,35 @@ def test_eig_workers_from_blas_threads(monkeypatch, env, workers):
         monkeypatch.setenv(var, value)
     cpus = len(os.sched_getaffinity(0))
     assert spectral.eig_workers() == workers(cpus)
+
+
+def test_one_blas_thread_layouts(monkeypatch):
+    # a library without a thread setter leaves the layout alone; otherwise
+    # every loaded OpenBLAS is set to one thread and the variable follows,
+    # which a later call reads as set by the environment.  The libraries
+    # are stand-ins, so this process keeps its BLAS threads.
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        if not any("openblas" in ln for ln in fh):
+            pytest.skip("no OpenBLAS loaded")
+    for var in spectral.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    calls = []
+
+    def set_threads(k):
+        calls.append(k)
+
+    monkeypatch.setattr(spectral.ctypes, "CDLL",
+                        lambda path: types.SimpleNamespace())
+    assert spectral.one_blas_thread() == "unchanged"
+    assert spectral.blas_threads() is None
+    monkeypatch.setattr(spectral.ctypes, "CDLL", lambda path: (
+        types.SimpleNamespace(scipy_openblas_set_num_threads=set_threads)))
+    assert spectral.one_blas_thread() == "set by mvpb"
+    assert calls and set(calls) == {1}
+    assert spectral.blas_threads() == 1
+    done = len(calls)
+    assert spectral.one_blas_thread() == "environment"
+    assert len(calls) == done
 
 
 def test_real_form_branch_pairs_are_exact(ops16):
