@@ -26,7 +26,7 @@ from .collision import CollisionOperator, transport_coefficients
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .errors import (BranchSwap, CFLViolation, IllConditioned, Instability,
                      MemoryBudget, MissingStudy, NoConvergence)
-from .green import KineticWaves, SpaceGrid, linear_log_fit
+from .green import KineticWaves, SpaceGrid, linear_log_fit, synthesize_green
 from .manifest import RunManifest, load_manifest, write_csv
 from .moments import (NSPEvolver, kinetic_moment_trajectory,
                       nsp_acoustic_speeds, nsp_damping_coefficients)
@@ -52,10 +52,11 @@ def _operator(cfg: RunConfig, sector):
     return CollisionOperator(basis, nphi=cfg.nphi, cache_dir=cache_dir())
 
 
-def _record_workers(man):
-    """Pool size and BLAS thread count of a study that runs on the pool."""
-    man.timings["eig_workers"] = eig_workers()
-    man.timings["blas_threads"] = blas_threads()
+def _add_csv(man, name, header, rows):
+    """Write rows to name in the output directory and list the file."""
+    path = os.path.join(man.out_dir, name)
+    write_csv(path, header, rows)
+    man.add_file(path)
 
 
 # ---------------------------------------------------------------------- #
@@ -69,15 +70,12 @@ def study_coeffs(cfg, man):
                 "kappa1", "kappa2", "mu_hat"):
         man.add_constant(key, tc[key])
     b = op0.basis
-    path = os.path.join(man.out_dir, "basis_nodes.csv")
-    write_csv(path, ["v1", "vr", "weight"],
-              list(zip(b.v1, b.vr, b.w)))
-    man.add_file(path)
+    _add_csv(man, "basis_nodes.csv", ["v1", "vr", "weight"],
+             list(zip(b.v1, b.vr, b.w)))
 
 
 def study_dispersion(cfg, man):
     op0, op1 = _operator(cfg, 0), _operator(cfg, 1)
-    _record_workers(man)
     rows = []
     for op in (op0, op1):
         bs = eigen_branches(op, eta_max=cfg.eta_max, steps=cfg.steps)
@@ -86,19 +84,16 @@ def study_dispersion(cfg, man):
             man.add_constant(f"a_{int(label)}", bs.damping[j])
             for e, lam in zip(bs.etas, bs.lam[j]):
                 rows.append((float(label), e, lam.real, lam.imag))
-    path = os.path.join(man.out_dir, "branches.csv")
-    write_csv(path, ["label", "eta", "re_lambda", "im_lambda"], rows)
-    man.add_file(path)
+    _add_csv(man, "branches.csv", ["label", "eta", "re_lambda", "im_lambda"],
+             rows)
 
 
 def study_green(cfg, man):
-    from .green import synthesize_green
     op0 = _operator(cfg, 0)
     grid = SpaceGrid(cfg.box_half_length, cfg.nx)
     ts = cfg.sample_times()
     b = op0.basis
     seeds = [b.invariants[0]]
-    _record_workers(man)
     syn = synthesize_green(op0, grid, seeds, ts, cfg.r0_hat)
     rows = []
     for part, field in (("full", syn["coef"]), ("low", syn["low"]),
@@ -107,9 +102,7 @@ def study_green(cfg, man):
         sup = b.norm(phys).max(axis=-1)[0]
         for t, s in zip(ts, sup):
             rows.append((part, t, s))
-    path = os.path.join(man.out_dir, "green_norms.csv")
-    write_csv(path, ["part", "t", "sup_x_norm_v"], rows)
-    man.add_file(path)
+    _add_csv(man, "green_norms.csv", ["part", "t", "sup_x_norm_v"], rows)
     evolved = [(t, s) for p, t, s in rows if p == "full" and t > 0]
     if len(evolved) >= 3:
         p, _, r2 = linear_log_fit(np.log1p([t for t, _ in evolved]),
@@ -123,7 +116,6 @@ def study_waves(cfg, man):
     grid = SpaceGrid(cfg.box_half_length, cfg.nx)
     ts = [t for t in cfg.sample_times() if t > 0]
     b = op0.basis
-    _record_workers(man)
     kw = KineticWaves(op0, grid, [b.invariants[0]], ts, levels=cfg.levels)
     rows = []
     amps = []
@@ -135,9 +127,7 @@ def study_waves(cfg, man):
     slope, _, r2 = linear_log_fit(ts, amps)
     man.add_constant("wave_sum_log_slope", slope)
     man.add_constant("wave_sum_fit_r2", r2)
-    path = os.path.join(man.out_dir, "wave_norms.csv")
-    write_csv(path, ["t", "sup_x_norm_v"], rows)
-    man.add_file(path)
+    _add_csv(man, "wave_norms.csv", ["t", "sup_x_norm_v"], rows)
 
 
 def study_nsp_compare(cfg, man):
@@ -153,7 +143,6 @@ def study_nsp_compare(cfg, man):
     ts = [t for t in cfg.sample_times() if t > 0]
     # low-frequency data: the fluid closure is only valid for eta << r0
     profile = np.exp(-grid.x ** 2 / 200.0)
-    _record_workers(man)
     kin = kinetic_moment_trajectory(op0, grid, profile, [0.0] + ts)
     # linear-to-linear comparison: the kinetic reference is the linearized
     # propagator, and the closure is linear too
@@ -166,9 +155,7 @@ def study_nsp_compare(cfg, man):
         ref = np.sqrt(np.mean(k.n ** 2) + np.mean(k.m1 ** 2)
                       + np.mean(k.q ** 2))
         rows.append((t, err / max(ref, 1e-300)))
-    path = os.path.join(man.out_dir, "nsp_compare.csv")
-    write_csv(path, ["t", "rel_l2_error"], rows)
-    man.add_file(path)
+    _add_csv(man, "nsp_compare.csv", ["t", "rel_l2_error"], rows)
     man.add_constant("nsp_final_rel_error", rows[int(np.argmax(ts))][1])
 
 
@@ -181,7 +168,6 @@ def study_nonlinear(cfg, man):
         man.timings["gamma_build_s"] = gamma.build_seconds
         man.timings["gamma_cache"] = \
             "hit" if gamma.build_seconds == 0.0 else "miss"
-    _record_workers(man)          # the Gamma sweep and the propagator blocks
     rep = decay_study(op0, grid, gamma, t_end=cfg.t_end, dt=cfg.dt,
                       delta0=cfg.delta0, gamma0=cfg.gamma0)
     if gamma is not None:
@@ -190,10 +176,9 @@ def study_nonlinear(cfg, man):
     rows = [(r["t"], r["sup_f"], r["sup_dvf"], r["sup_phi"], r["sup_dphi"],
              r["sup_phit"], r["ratio_f"], r["ratio_field"])
             for r in rep["rows"]]
-    path = os.path.join(man.out_dir, "decay.csv")
-    write_csv(path, ["t", "sup_f", "sup_dvf", "sup_phi", "sup_dphi",
-                     "sup_phit", "ratio_f", "ratio_field"], rows)
-    man.add_file(path)
+    _add_csv(man, "decay.csv", ["t", "sup_f", "sup_dvf", "sup_phi",
+                                "sup_dphi", "sup_phit", "ratio_f",
+                                "ratio_field"], rows)
     for key in ("exponent_f", "r2_f", "exponent_dvf", "r2_dvf",
                 "exponent_field", "r2_field", "q_log_slope"):
         man.add_constant(key, rep[key])
@@ -347,6 +332,10 @@ def main(argv=None):
     os.makedirs(cfg.out, exist_ok=True)
     man = RunManifest(cfg, cfg.out)
     man.timings["blas_layout"] = one_blas_thread()
+    # the pool size and BLAS threads that the eigensolves, the Gamma build
+    # and apply, and the mode blocks of every study run on
+    man.timings["eig_workers"] = eig_workers()
+    man.timings["blas_threads"] = blas_threads()
     caught = []
     try:
         # the warnings the caller's filters let through are recorded, then

@@ -49,7 +49,10 @@ def _pairwise_column_sums(c):
     contiguous row of len(c) (eight running lanes, a fixed tree, then the
     rest), without numpy's slow reduction along a short axis.  Far from the
     nodes the barycentric terms cancel heavily and the corner rows of Gamma
-    amplify their rounding, so this order is part of the tensor's bits."""
+    amplify their rounding, so this order is part of the tensor's bits.
+    It narrows the corner rows' mirror asymmetry (_gamma_quadrature) at
+    some n1 only: of max |T|, 1.5e-15 against 1.4e-12 for c.sum(axis=0)
+    at n1 = 16, but 1.3e-11 against 1.1e-11 at n1 = 24."""
     n = len(c)
     if n < 8:
         return c.sum(axis=0)
@@ -141,12 +144,17 @@ def _gamma_quadrature(basis: VelocityBasis):
     P: v1 -> -v1 of the output node, v* and omega: v* runs over every
     node, and (w1, w2, w3) -> (-w1, w2, w3) is omega -> -omega followed by
     an azimuth shift of pi, which the even OMEGA_PHI_NODES midpoint rule
-    maps onto itself.  It does so in floating point too, as the corner
-    interpolation amplifies any asymmetry 1e5-fold: the basis v1 rule is
-    mirror-exact (velocity.gauss_rule), the shifted azimuths negate cos and
-    sin exactly, and the v1 barycentric weights are mirrored exactly.
-    build_gamma therefore sweeps only half the output nodes
-    (_gamma_blocks).
+    maps onto itself.  The inputs of the rule are mirror-exact in floating
+    point: the basis v1 rule (velocity.gauss_rule), the shifted azimuths,
+    which negate cos and sin exactly, and the v1 barycentric weights.  The
+    rule's sums are mirrored only to rounding, which the corner
+    interpolation amplifies.  The corner
+    row's asymmetry, as a fraction of max |T|, is 4e-16 to 1.5e-15 at
+    (n1, nr) = (5, 2), (8, 4) and (16, 8), 2.5e-14 at (12, 6), 2.7e-13 at
+    (14, 7), and 1.3e-11 at (20, 10) and (24, 12).  build_gamma sweeps
+    only half the output nodes (_gamma_blocks) and takes the other half as
+    the mirror image, so the tensor is exactly P-invariant and differs
+    from the full sweep by that asymmetry.
     """
     phis = (np.arange(PHI_STAR_NODES // 2) + 0.5) * 2.0 * np.pi / PHI_STAR_NODES
     ct, wt = leggauss(OMEGA_THETA_NODES)
@@ -600,13 +608,15 @@ class NonlinearStepper:
     The state stays in R(eta)'s coordinates.  A half-step is one batched
     real GEMM of props, exp(R dt/2) per mode (built by blocks of modes on
     eig_workers() threads, the same bits on any worker count), on a float
-    view of the complex coefficients.  A quadratic stage maps the state to
-    the field's pair coordinates by one multiply by (-1)^k (x) D and one
-    irfft, solves the field once (poisson_newton), takes d_x phi and the
-    beyond-linear gradient from one stacked rfft/irfft pair, applies
-    1/2 v1 f d_x phi - d_x phi d_v1 f as one GEMM and Gamma through
-    apply_gamma, and maps back by one rfft and one multiply.  mass_w and
-    dv1 act on node vectors (state_diagnostics).
+    view of the complex coefficients.  The quadratic step maps the state
+    to x once (SpaceGrid.to_physical after the phase D: the real field in
+    pair coordinates), takes the midpoint N(f + dt/2 N(f)) there, and maps
+    the increment back once (SpaceGrid.to_coefficients, then D*).  Each N
+    solves the field once (poisson_newton), takes d_x phi and the
+    beyond-linear gradient d_x (phi - solve_field(n)) by
+    SpaceGrid.derivative, applies 1/2 v1 f d_x phi - d_x phi d_v1 f as one
+    GEMM and Gamma through apply_gamma.  mass_w and dv1 act on node
+    vectors (state_diagnostics).
     """
 
     def __init__(self, op: CollisionOperator, grid: SpaceGrid, dt,
@@ -624,11 +634,6 @@ class NonlinearStepper:
         self._mass_w = b.to_pairs(self.mass_w)
         self._v1chi0 = b.to_pairs(b.v1 * b.invariants[0])
         self._advect = b.pair_matrix(0.5 * np.diag(b.v1) - self.dv1)
-        # (-1)^k (x) D: SpaceGrid's sign on mode k, then D
-        self._phase = np.outer(grid._sign, b.phase)
-        # symbols of d_x and of d_x (I - d_xx)^{-1}
-        self._ddx = 1j * grid.eta
-        self._ddx_lin = self._ddx / (1.0 + grid.eta ** 2)
         # real half-step propagators exp(R dt/2), by mode blocks on the pool
         self.props = np.empty((grid.nh, b.n, b.n))
 
@@ -648,22 +653,18 @@ class NonlinearStepper:
                   out=out.view(np.float64).reshape(nh, n, 2))
         return out
 
-    def _quadratic_rhs(self, y):
-        """R-coordinate rhs of y; f_x is the real field in pair coordinates."""
+    def _quadratic_rhs(self, f_x):
+        """Quadratic terms at the real field f_x, (nx, n) in pair
+        coordinates, returned in the same form."""
         g = self.grid
-        f_x = np.fft.irfft(y * self._phase, n=g.nx, axis=0, norm="forward")
         rhs = np.zeros_like(f_x)
         if self.field_terms:
             n_x = f_x @ self._mass_w
             phi = poisson_newton(g, n_x)
-            # d_x phi, and d_x (phi - solve_field(n)), the beyond-linear
-            # part of the field source (the linear response is inside the
-            # propagator), from one transform of [phi, n] each way
-            phat, nhat = np.fft.rfft(np.stack([phi, n_x]), axis=1)
-            dphat = self._ddx * phat
-            dphi, dphi_nl = np.fft.irfft(
-                np.stack([dphat, dphat + self._ddx_lin * nhat]), n=g.nx,
-                axis=1)
+            dphi = g.derivative(phi)
+            # the linear field response is inside the propagator; only the
+            # beyond-linear part phi - solve_field(n) acts here
+            dphi_nl = g.derivative(phi - solve_field(g, n_x))
             rhs += dphi[:, None] * (f_x @ self._advect)
             rhs += dphi_nl[:, None] * self._v1chi0[None, :]
             cfl_speed = np.abs(dphi).max()
@@ -673,15 +674,15 @@ class NonlinearStepper:
                     % (self.dt * cfl_speed, CFL * self._dv_min))
         if self.gamma is not None:
             rhs += apply_gamma(self.gamma, f_x, f_x)
-        return np.fft.rfft(rhs, axis=0, norm="forward") * self._phase.conj()
+        return rhs
 
     def step(self, state: KineticState):
         y = self._half_linear(state.real_coef)
         if self.field_terms or self.gamma is not None:
-            r1 = self._quadratic_rhs(y)
-            mid = y + 0.5 * self.dt * r1
-            r2 = self._quadratic_rhs(mid)
-            y = y + self.dt * r2
+            b, g, dt = self.b, self.grid, self.dt
+            f = g.to_physical(y * b.phase, axis=0)
+            r = self._quadratic_rhs(f + 0.5 * dt * self._quadratic_rhs(f))
+            y += dt * g.to_coefficients(r, axis=0) * b.phase.conj()
         y = self._half_linear(y)
         if not np.isfinite(np.abs(y).max()):
             raise Instability("non-finite state at t=%g" % (state.t + self.dt))

@@ -53,7 +53,7 @@ import numpy as np
 import scipy.linalg
 
 from .collision import CollisionOperator, branch_mixing
-from .errors import BranchSwap, IllConditioned, NoConvergence
+from .errors import BranchSwap, IllConditioned, Instability, NoConvergence
 from .velocity import macro_eigenvectors, macro_speeds
 
 #: smallest eigenvector overlap accepted as the same branch between steps
@@ -216,6 +216,7 @@ def lattice_step(ts):
     return h
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def propagate(B, X, ts):
     """exp(t B) X for every t in ts, shape (len(ts),) + X.shape.
 
@@ -227,6 +228,10 @@ def propagate(B, X, ts):
     n steps, which cost about one expm, the march instead takes one expm
     per distinct gap between the sorted times.  A real B with complex X
     marches the real and imaginary parts of X as real columns.
+
+    Raises Instability when the result is not finite, as when the
+    squarings of expm overflow at a huge t.  The overflow itself is not
+    warned, so it reaches the caller as that error from any thread.
     """
     ts = np.asarray(ts, dtype=float)
     X = np.asarray(X)
@@ -253,16 +258,18 @@ def propagate(B, X, ts):
                 Y = E @ Y
             done = int(k)
             out[steps == k] = Y
-        return out
-    gaps = {}
-    t_prev, Y = 0.0, X
-    for t in np.unique(ts[ts > 0]):
-        gap = t - t_prev
-        if gap not in gaps:
-            gaps[gap] = expm(B * gap)
-        Y = gaps[gap] @ Y
-        t_prev = t
-        out[ts == t] = Y
+    else:
+        gaps = {}
+        t_prev, Y = 0.0, X
+        for t in np.unique(ts[ts > 0]):
+            gap = t - t_prev
+            if gap not in gaps:
+                gaps[gap] = expm(B * gap)
+            Y = gaps[gap] @ Y
+            t_prev = t
+            out[ts == t] = Y
+    if not np.isfinite(out).all():
+        raise Instability("non-finite propagator at t <= %g" % t_max)
     return out
 
 

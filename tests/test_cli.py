@@ -217,6 +217,21 @@ def test_waves_single_time_exit_3(tmp_path, times):
     assert "wave_sum_log_slope" not in doc["constants"]
 
 
+@pytest.mark.parametrize("study", ["green", "nsp-compare"])
+def test_overflowing_propagator_exit_3(tmp_path, study):
+    # at t = 1e30 the squarings of the eta = 0 propagator overflow on the
+    # worker threads; that is an Instability, not a RuntimeWarning or nan
+    # rows with exit 0
+    out = tmp_path / "run"
+    rc = main([study, "--out", str(out), "--set", "times=1e30",
+               "--set", "n1=8", "--set", "nr=4", "--set", "nx=64"])
+    assert rc == 3
+    doc = _load_manifest(out)
+    assert doc["partial"]
+    assert "Instability" in doc["error"]
+    assert doc["files"] == []
+
+
 def test_waves_manifest_records_workers(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     out = tmp_path / "run"

@@ -302,9 +302,9 @@ def test_quadratic_rhs_matches_composed_terms(gamma32, cache_dir, grid,
                                gamma=gamma if with_gamma else None)
     coef = grid.to_coefficients(_non_maxwellian_datum(b, grid), axis=0)
     want = _quadratic_rhs_composed(stepper, coef)
-    got = spectral.from_real_form(
-        stepper._quadratic_rhs(spectral.to_real_form(coef, b, axis=1)),
-        b, axis=1)
+    got = grid.to_coefficients(b.from_pairs(
+        stepper._quadratic_rhs(b.to_pairs(grid.to_physical(coef, axis=0)))),
+        axis=0)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -572,9 +572,11 @@ def test_apply_gamma_worker_error_propagates(monkeypatch, gamma16):
 
 def test_gamma_rule_mirror_exact_at_corner(bases16):
     # the corner rows, where |T| is largest, amplify any mirror asymmetry
-    # of the rule about 1e5-fold (1.2e-10 of max |T| with v1 nodes mirrored
-    # only to round-off); the reflected half sweep relies on the rule being
-    # exact
+    # of the rule (1.2e-10 of max |T| with v1 nodes mirrored only to
+    # round-off); the reflected half sweep takes the mirror image for the
+    # full sweep.  With the mirrored inputs the asymmetry is 1.5e-15 of
+    # max |T| at n1 = 16, but not at every n1: 2.7e-13 at (14, 7) and
+    # 1.3e-11 at (24, 12) (_gamma_quadrature)
     b = bases16[0]
     P = b.reflection
     quad = nonlinear._gamma_quadrature(b)

@@ -420,8 +420,23 @@ def test_package_has_no_scipy_expm():
                 assert "expm" not in [a.name for a in node.names], path.name
 
 
-# --------------------------------------------------------------------- #
-# parity real form of B(eta)
+def test_only_space_grid_reaches_the_fft():
+    # SpaceGrid owns the grid's Fourier conventions, the FFT and the
+    # (-1)^k origin sign: no module but green.py reads an attribute fft
+    # (np.fft.*, numpy.fft, scipy.fft) or _sign, or imports an fft module.
+    root = pathlib.Path(spectral.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        if path.name == "green.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("fft", "_sign"), where
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [a.name for a in node.names]
+                assert not any("fft" in m for m in names), where
+
 # --------------------------------------------------------------------- #
 
 def _unitary(basis):
