@@ -21,9 +21,8 @@ import warnings
 
 import numpy as np
 
-from . import config as cfgmod
 from .collision import CollisionOperator, transport_coefficients
-from .config import ConfigError, RunConfig, default_config, parse_config
+from .config import ConfigError, RunConfig, load_config, schema_text
 from .errors import (BranchSwap, CFLViolation, IllConditioned, Instability,
                      MemoryBudget, MissingStudy, NoConvergence)
 from .green import KineticWaves, SpaceGrid, linear_log_fit, synthesize_green
@@ -37,9 +36,6 @@ from .velocity import VelocityBasis
 
 NUMERICAL_ERRORS = (BranchSwap, NoConvergence, Instability, CFLViolation,
                     IllConditioned, MemoryBudget)
-
-#: studies that drop t = 0 and fit or march over the remaining times
-POSITIVE_TIME_STUDIES = ("waves", "nsp-compare")
 
 
 def cache_dir():
@@ -198,10 +194,6 @@ STUDY_FUNCS = {
 # acceptance report
 # ---------------------------------------------------------------------- #
 
-def _near(x, target, tol):
-    return abs(x - target) <= tol
-
-
 def report_rows(manifests):
     """Cross-check table: (criterion, status, measured, expected)."""
     by_study = {}
@@ -246,7 +238,7 @@ def report_rows(manifests):
             rows.append((name, "pass" if ok else "FAIL",
                          repr(measured), "sign"))
         else:
-            ok = _near(measured, expected, tol)
+            ok = abs(measured - expected) <= tol
             rows.append((name, "pass" if ok else "FAIL",
                          repr(measured), f"{expected} +- {tol}"))
     return rows
@@ -290,7 +282,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.study == "schema":
-        sys.stdout.write(cfgmod.schema_text())
+        sys.stdout.write(schema_text())
         return 0
     if args.study == "report":
         try:
@@ -300,31 +292,7 @@ def main(argv=None):
             return 2
 
     try:
-        cfg = parse_config(args.config) if args.config else default_config()
-        overrides = {"study": args.study}
-        for item in args.set:
-            if "=" not in item:
-                raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-            key, _, raw = item.partition("=")
-            key = key.strip()
-            if key == "study":
-                raise ConfigError("study is set by the subcommand, not by "
-                                  f"--set (got {item!r})")
-            overrides[key] = raw.strip()
-        if args.out is not None:
-            overrides["out"] = args.out
-        cfgmod.apply_overrides(cfg, overrides)
-        if (cfg.study in POSITIVE_TIME_STUDIES
-                and not any(t > 0 for t in cfg.sample_times())):
-            raise ConfigError(
-                f"{cfg.study} needs at least one positive time "
-                f"(times = {cfg.times})")
-        if cfg.study == "nsp-compare" and any(
-                abs(t - round(t / cfg.dt) * cfg.dt) > 1e-9 * t
-                for t in cfg.sample_times()):
-            raise ConfigError(
-                f"nsp-compare samples at whole steps: every time must be a "
-                f"multiple of dt = {cfg.dt} (times = {cfg.times})")
+        cfg = load_config(args.study, args.config, args.set, args.out)
     except (ConfigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

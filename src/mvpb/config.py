@@ -9,12 +9,9 @@ are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
-
-STUDIES = ("coeffs", "dispersion", "green", "waves",
-           "nsp-compare", "nonlinear", "report")
 
 
 def _positive(x):
@@ -42,8 +39,6 @@ def _bool(s):
 
 # key -> (parser, default, validator, doc)
 SCHEMA = {
-    "study": (str, "coeffs", lambda s: s in STUDIES,
-              "one of " + ", ".join(STUDIES)),
     "n1": (int, 24, lambda n: n >= 3,
            "longitudinal velocity nodes per sector, at least 3"),
     "nr": (int, 12, _positive, "transverse speed nodes"),
@@ -73,7 +68,9 @@ SCHEMA = {
 
 @dataclass
 class RunConfig:
-    values: dict = field(default_factory=dict)
+    values: dict
+    #: the subcommand the configuration runs, None outside one
+    study: str | None = None
 
     def __getattr__(self, key):
         try:
@@ -86,13 +83,8 @@ class RunConfig:
 
 
 def default_config(**overrides):
+    """The schema defaults with overrides (key -> raw value), checked."""
     vals = {k: spec[1] for k, spec in SCHEMA.items()}
-    cfg = RunConfig(vals)
-    apply_overrides(cfg, overrides)
-    return cfg
-
-
-def apply_overrides(cfg: RunConfig, overrides):
     for key, raw in overrides.items():
         if key not in SCHEMA:
             raise ConfigError(f"unknown configuration key: {key!r}")
@@ -105,7 +97,8 @@ def apply_overrides(cfg: RunConfig, overrides):
             raise ConfigError(f"{key} = {val!r} is not finite ({doc})")
         if not check(val):
             raise ConfigError(f"{key} = {val!r} out of range ({doc})")
-        cfg.values[key] = val
+        vals[key] = val
+    cfg = RunConfig(vals)
     # sector 0 has three invariants: n = n1 * nr >= 4 leaves it a micro
     # spectrum (n1 >= 3 is the three-point d/dv1 stencil)
     if cfg.n1 * cfg.nr < 4:
@@ -117,25 +110,60 @@ def apply_overrides(cfg: RunConfig, overrides):
             and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ConfigError(f"t_end / dt = {steps!r} is not a whole number "
                           f"of steps >= 1 (t_end = {cfg.t_end}, dt = {cfg.dt})")
+    return cfg
 
 
-def parse_config(path):
-    """Parse a flat key=value file into a validated RunConfig."""
-    overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key in overrides:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            overrides[key] = raw
-    return default_config(**overrides)
+def load_config(study, path=None, sets=(), out=None):
+    """The configuration of one study run: the schema defaults, then the
+    lines of the file at path (no key twice), then each KEY=VALUE of sets
+    in order, then out, each value replacing the one before.  Every check
+    runs once, on the result; OSError when the file cannot be read."""
+    overrides = _read_file(path) if path is not None else {}
+    for item in sets:
+        key, raw = _key_value(item, "--set")
+        overrides[key] = raw
+    if out is not None:
+        overrides["out"] = out
+    cfg = default_config(**overrides)
+    cfg.study = study
+    # waves and nsp-compare drop t = 0 and fit or march over the rest
+    if (study in ("waves", "nsp-compare")
+            and not any(t > 0 for t in cfg.sample_times())):
+        raise ConfigError(f"{study} needs at least one positive time "
+                          f"(times = {cfg.times})")
+    if study == "nsp-compare" and any(
+            abs(t - round(t / cfg.dt) * cfg.dt) > 1e-9 * t
+            for t in cfg.sample_times()):
+        raise ConfigError(
+            f"nsp-compare samples at whole steps: every time must be a "
+            f"multiple of dt = {cfg.dt} (times = {cfg.times})")
+    return cfg
+
+
+def _key_value(item, where):
+    """(key, raw value) of one KEY=VALUE item, each stripped."""
+    key, sep, raw = item.partition("=")
+    if not sep:
+        raise ConfigError(f"{where}: expected KEY=VALUE, got {item!r}")
+    return key.strip(), raw.strip()
+
+
+def _read_file(path):
+    """key -> raw value of each key = value line of a flat config file."""
+    found = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                text = line.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                key, raw = _key_value(text, f"{path}:{lineno}")
+                if key in found:
+                    raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+                found[key] = raw
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc})") from None
+    return found
 
 
 def schema_text():

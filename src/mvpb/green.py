@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .collision import CollisionOperator
-from .errors import AliasingWarning, IllConditioned
+from .errors import AliasingWarning, IllConditioned, MemoryBudget
 from .spectral import (eigen_branches_at, from_real_form, mode_blocks,
                        on_workers, propagate, real_mode_matrices,
                        to_real_form)
@@ -203,6 +203,11 @@ WAVE_INTERVAL = 0.5
 WAVE_NODES = 4
 #: frequency modes per block of the KineticWaves march
 WAVE_BLOCK_MODES = 16
+#: most steps KineticWaves marches.  The edge lattice and the march grow with
+#: the step count: at t = 1e30 numpy cannot allocate the lattice, and 1e5
+#: steps would take hours at the default grid (the 16 steps to t = 8 take
+#: about 2 s there).  The studies and tests sample up to t = 12, 24 steps.
+WAVE_MAX_STEPS = 10 ** 5
 
 
 def _exp_moments(c, delta, p):
@@ -288,6 +293,9 @@ class KineticWaves:
 
         T = float(self.out_ts.max())
         nsteps = int(np.ceil(T / WAVE_INTERVAL - 1e-12))
+        if nsteps > WAVE_MAX_STEPS:
+            raise MemoryBudget(f"kinetic waves to t = {T!r} take more than "
+                               f"WAVE_MAX_STEPS = {WAVE_MAX_STEPS} steps")
         lattice = np.linspace(0.0, nsteps * WAVE_INTERVAL, nsteps + 1)
         # every requested time is an interval edge, so none falls between
         # two recorded edges; the integrator takes any step length

@@ -1,5 +1,6 @@
 """Command-line orchestration: exit codes, manifests, determinism, report."""
 
+import ast
 import json
 import os
 import re
@@ -66,16 +67,96 @@ def test_schema_omits_deleted_keys(capsys):
 
 
 def test_every_schema_key_is_read():
-    # a key that no study reads is a silent no-op knob
+    # a key that no study reads is a silent no-op knob; times is read
+    # through cfg.sample_times()
     pkg = os.path.dirname(mvpb.__file__)
     text = ""
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py") and name != "config.py":
             with open(os.path.join(pkg, name), encoding="utf-8") as fh:
                 text += fh.read()
-    unread = [key for key in SCHEMA if key not in ("study", "out")
-              and not re.search(rf"\bcfg\.{key}\b", text)]
+    reader = {"times": "sample_times"}
+    unread = [key for key in SCHEMA
+              if not re.search(rf"\bcfg\.{reader.get(key, key)}\b", text)]
     assert unread == []
+
+
+def test_cli_raises_no_config_error():
+    # config.load_config owns every configuration check; cli.main only
+    # turns its ConfigError into exit 2
+    path = os.path.join(os.path.dirname(mvpb.__file__), "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            assert getattr(exc, "id", None) != "ConfigError", \
+                f"cli.py:{node.lineno}"
+
+
+def _write_config(tmp_path, text, name="run.cfg"):
+    path = tmp_path / name
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return str(path)
+
+
+def _run_config_file(tmp_path, capsys, text, *sets):
+    # the cheap coeffs grid (n1=4, nr=2) unless the file or a --set says
+    # otherwise; returns (exit code, stderr, output directory)
+    out = tmp_path / "run"
+    args = ["coeffs", "--out", str(out),
+            "--config", _write_config(tmp_path, text)]
+    for item in sets:
+        args += ["--set", item]
+    rc = main(args)
+    return rc, capsys.readouterr().err, out
+
+
+def test_config_file_alone(tmp_path, capsys):
+    rc, _, out = _run_config_file(
+        tmp_path, capsys, "# coarse grid\nn1 = 4\nnr = 2  # two speeds\n\n"
+        "vmax = 7\n")
+    assert rc == 0
+    doc = _load_manifest(out)
+    assert doc["study"] == "coeffs"
+    assert (doc["config"]["n1"], doc["config"]["nr"]) == (4, 2)
+    assert doc["config"]["vmax"] == 7.0
+
+
+def test_config_file_checked_after_set(tmp_path, capsys):
+    # t_end / dt = 1 / 0.3 alone is off the step lattice; the merged
+    # config, with dt = 0.1 from --set, takes 10 steps
+    rc, err, out = _run_config_file(
+        tmp_path, capsys, "n1 = 4\nnr = 2\nt_end = 1\ndt = 0.3\n", "dt=0.1")
+    assert rc == 0, err
+    config = _load_manifest(out)["config"]
+    assert (config["t_end"], config["dt"]) == (1.0, 0.1)
+    assert (config["n1"], config["nr"]) == (4, 2)
+
+
+@pytest.mark.parametrize("text, sets, named", [
+    # valid alone, made invalid by a --set
+    ("n1 = 4\nnr = 2\n", ["dt=0.3"], "t_end / dt"),
+    ("n1 = 4\nnr = 2\n", ["n1=3", "nr=1"], "n1 * nr"),
+    ("n1 = 4\nnr = 2\nn1 = 8\n", [], "run.cfg:3: duplicate key 'n1'"),
+    ("n1 = 4\nnr = 2\nstudy = green\n", [], "study"),
+    ("n1 = 4\nnr = 2\nnx\n", [], "run.cfg:3: expected KEY=VALUE"),
+    (b"\xff\xfe n1 = 8\n", [], "run.cfg is not UTF-8 text"),
+])
+def test_bad_config_file_exit_2(tmp_path, capsys, text, sets, named):
+    rc, err, out = _run_config_file(tmp_path, capsys, text, *sets)
+    assert rc == 2
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out / "manifest.json")
+
+
+def test_missing_config_file_exit_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["coeffs", "--out", str(out), "--config",
+                 str(tmp_path / "nope.cfg")]) == 2
+    assert "nope.cfg" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_malformed_set_exit_2(tmp_path):
@@ -229,6 +310,19 @@ def test_overflowing_propagator_exit_3(tmp_path, study):
     doc = _load_manifest(out)
     assert doc["partial"]
     assert "Instability" in doc["error"]
+    assert doc["files"] == []
+
+
+def test_waves_too_many_steps_exit_3(tmp_path):
+    # at t = 1e30 the edge lattice of the wave march cannot be allocated;
+    # that is a MemoryBudget, not a ValueError traceback with exit 1
+    out = tmp_path / "run"
+    rc = main(["waves", "--out", str(out), "--set", "times=1e30",
+               "--set", "n1=8", "--set", "nr=4", "--set", "nx=64"])
+    assert rc == 3
+    doc = _load_manifest(out)
+    assert doc["partial"]
+    assert "MemoryBudget" in doc["error"]
     assert doc["files"] == []
 
 
