@@ -94,18 +94,13 @@ def test_cli_raises_no_config_error():
                 f"cli.py:{node.lineno}"
 
 
-def _write_config(tmp_path, text, name="run.cfg"):
-    path = tmp_path / name
-    path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    return str(path)
-
-
 def _run_config_file(tmp_path, capsys, text, *sets):
-    # the cheap coeffs grid (n1=4, nr=2) unless the file or a --set says
-    # otherwise; returns (exit code, stderr, output directory)
+    # coeffs with the file run.cfg holding text (str or bytes) and each
+    # --set of sets; returns (exit code, stderr, output directory)
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "run"
-    args = ["coeffs", "--out", str(out),
-            "--config", _write_config(tmp_path, text)]
+    args = ["coeffs", "--out", str(out), "--config", str(path)]
     for item in sets:
         args += ["--set", item]
     rc = main(args)
